@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/config.h"
 #include "base/logging.h"
 #include "base/memo.h"
 #include "base/metrics.h"
@@ -26,7 +27,6 @@
 #include "base/trace.h"
 #include "constraint/atom.h"
 #include "constraint/formula.h"
-#include "plan/planner.h"
 #include "poly/polynomial.h"
 #include "poly/upoly.h"
 
@@ -57,15 +57,6 @@ inline ccdb::ThreadPool* Pool() { return ccdb::ThreadPool::Shared(); }
 /// "qe_cache" column, so cache-on/cache-off runs can be diffed row by row.
 inline bool& BenchQeCacheEnabled() {
   static bool enabled = ccdb::MemoCachesEnabled();
-  return enabled;
-}
-
-/// Whether the structure-aware planner is on for this run (set by
-/// `--plan=0|1` or CCDB_PLAN; defaults to on). Also the value of the JSON
-/// report's "plan" column, so planned/monolithic runs can be diffed row by
-/// row.
-inline bool& BenchPlanEnabled() {
-  static bool enabled = ccdb::PlannerEnabled();
   return enabled;
 }
 
@@ -102,8 +93,6 @@ inline std::string& BenchOutPath() {
 ///                         result / resultant / query caches). Results are
 ///                         byte-identical either way (pure memo contract),
 ///                         only the timings change.
-///   --plan=<0|1>          (or CCDB_PLAN) toggle the structure-aware query
-///                         planner; 0 = the monolithic elimination path.
 ///   --profile             enable span tracing and print the aggregated
 ///                         span profile (path -> count, inclusive µs,
 ///                         exclusive µs) to stderr at exit
@@ -136,11 +125,6 @@ inline void InitBenchTracing(int argc, char** argv) {
       BenchQeCacheEnabled() =
           std::atoi(argv[i] + (sizeof(kQeCacheFlag) - 1)) != 0;
       ccdb::SetMemoCachesEnabled(BenchQeCacheEnabled());
-    }
-    constexpr const char kPlanFlag[] = "--plan=";
-    if (std::strncmp(argv[i], kPlanFlag, sizeof(kPlanFlag) - 1) == 0) {
-      BenchPlanEnabled() = std::atoi(argv[i] + (sizeof(kPlanFlag) - 1)) != 0;
-      ccdb::SetPlannerEnabled(BenchPlanEnabled());
     }
     if (std::strcmp(argv[i], "--profile") == 0) BenchProfileEnabled() = true;
     constexpr const char kBenchOutFlag[] = "--bench-out=";
@@ -219,10 +203,12 @@ inline std::string TableCell(const std::optional<double>& seconds) {
 /// human-readable table), machine-readable for the experiment plots. The
 /// "threads" column lets a sweep (`--threads=1`, `--threads=8`, ...)
 /// concatenate its reports into one speedup table; "qe_cache" and "plan"
-/// do the same for `--qe-cache=0/1` and `--plan=0/1` differential runs. The hit rate is per cell (delta of the qe_cache
-/// hit/miss counters since the previous RecordCell, null when the cell
-/// never consulted the cache); the node counts are the live hash-consed
-/// formula arena and interned polynomial pool sizes at record time.
+/// do the same for `--qe-cache=0/1` and `CCDB_PLAN=0/1` differential runs
+/// ("plan" is EngineConfig::Process().plan). The hit rate is per cell
+/// (delta of the qe_cache hit/miss counters since the previous RecordCell,
+/// null when the cell never consulted the cache); the node counts are the
+/// live hash-consed formula arena and interned polynomial pool sizes at
+/// record time.
 inline std::vector<std::string>& JsonReportRows() {
   // Leaked on purpose: must stay alive for the atexit printer.
   static auto* rows = new std::vector<std::string>();
@@ -273,7 +259,7 @@ inline void RecordCell(const std::string& name,
       "{\"cell\": \"" + name +
       "\", \"threads\": " + std::to_string(BenchThreads()) +
       ", \"qe_cache\": " + (BenchQeCacheEnabled() ? "1" : "0") +
-      ", \"plan\": " + (BenchPlanEnabled() ? "1" : "0") +
+      ", \"plan\": " + (ccdb::EngineConfig::Process().plan ? "1" : "0") +
       ", \"ms\": " + JsonCell(seconds) +
       ", \"qe_cache_hit_rate\": " + hit_rate +
       ", \"formula_nodes\": " + std::to_string(arena.live_nodes) +
@@ -305,7 +291,8 @@ inline void RecordLatencyCell(const std::string& name,
                 "\"plan\": %d, \"ms\": %.6f, \"samples\": %zu, "
                 "\"p50_ms\": %.6f, \"p90_ms\": %.6f, \"p99_ms\": %.6f}",
                 name.c_str(), BenchThreads(),
-                BenchQeCacheEnabled() ? 1 : 0, BenchPlanEnabled() ? 1 : 0,
+                BenchQeCacheEnabled() ? 1 : 0,
+                ccdb::EngineConfig::Process().plan ? 1 : 0,
                 mean_ms, samples_seconds.size(), hist->Percentile(0.50) / 1e3,
                 hist->Percentile(0.90) / 1e3, hist->Percentile(0.99) / 1e3);
   JsonReportRows().push_back(buffer);
@@ -334,7 +321,7 @@ inline void WriteRunRecord(const std::string& name) {
                "  \"plan\": %d,\n"
                "  \"rows\": [\n",
                name.c_str(), BenchThreads(), BenchQeCacheEnabled() ? 1 : 0,
-               BenchPlanEnabled() ? 1 : 0);
+               ccdb::EngineConfig::Process().plan ? 1 : 0);
   const std::vector<std::string>& rows = JsonReportRows();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out, "    %s%s\n", rows[i].c_str(),

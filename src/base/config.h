@@ -25,18 +25,26 @@
 namespace ccdb {
 
 /// Three-way per-call toggle used throughout the pipeline's option
-/// structs: kAuto follows the relevant process-wide switch (itself
-/// defaulted from EngineConfig), kOn/kOff force the feature per call.
-/// Carried here (not in qe/) because it is a configuration concept shared
-/// by the planner, the memo caches, semi-naive Datalog, and incremental
-/// re-fixpoint alike.
+/// structs: kAuto is the process config (the matching
+/// EngineConfig::Process() field; for the memo caches, MemoCachesEnabled()
+/// in base/memo.h); kOn/kOff force the feature per call, and a Session
+/// forces every toggle its config carries. Carried here (not in qe/)
+/// because it is a configuration concept shared by the planner, the memo
+/// caches, semi-naive Datalog, and incremental re-fixpoint alike.
 enum class PlanToggle { kAuto, kOn, kOff };
+
+/// Resolves `toggle`: kOn/kOff force, kAuto yields `process` (the matching
+/// EngineConfig::Process() field).
+inline bool ResolveToggle(PlanToggle toggle, bool process) {
+  return toggle == PlanToggle::kOn || (toggle == PlanToggle::kAuto && process);
+}
 
 /// Immutable resolved engine configuration. Value semantics: copy it,
 /// override fields with the With* builders, hand it to
 /// ConstraintDatabase::OpenSession. The process-wide instance —
 /// EngineConfig::Process() — is resolved from the environment exactly
-/// once and is what every legacy single-session entry point sees.
+/// once; it is the config of every database's default session (the
+/// facade) and what every kAuto toggle resolves to.
 struct EngineConfig {
   /// Concurrent runners of the session's thread pool (CCDB_THREADS,
   /// default 1 = the exact serial path).
@@ -83,10 +91,10 @@ struct EngineConfig {
   static EngineConfig FromEnv(std::vector<std::string>* warnings = nullptr);
 
   /// The process-wide configuration: FromEnv() resolved exactly once, at
-  /// first use, with warnings to stderr. Every legacy single-session
-  /// default (ThreadPool::Shared width, PlannerEnabled, MemoCachesEnabled,
-  /// SeminaiveEnabled, log level, tracer, query log, WAL policy) reads
-  /// from here instead of calling getenv.
+  /// first use, with warnings to stderr. Immutable: kAuto toggles (plan,
+  /// seminaive, incremental, memo), the ThreadPool::Shared width, the log
+  /// level, tracer, query log and WAL policy all read it instead of
+  /// calling getenv.
   static const EngineConfig& Process();
 
   /// Per-field programmatic overrides (value-semantics builders).

@@ -32,6 +32,13 @@ namespace ccdb {
 /// Whether the memo layers (QE result cache, resultant/PRS cache, query
 /// cache) are enabled. Defaults to EngineConfig::Process().qe_cache (the
 /// CCDB_QE_CACHE knob); SetMemoCachesEnabled overrides.
+///
+/// This is the one process-wide override switch left (the planner,
+/// semi-naive and incremental toggles resolve kAuto straight to the
+/// immutable EngineConfig::Process()): the resultant/PRS cache sits below
+/// every option struct (poly/resultant.cc takes no QeOptions), so a
+/// per-call or per-session memo toggle cannot reach it, and callers that
+/// run an evaluation without any memo layer rely on flipping it.
 bool MemoCachesEnabled();
 void SetMemoCachesEnabled(bool enabled);
 

@@ -1,7 +1,6 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
@@ -37,10 +36,6 @@ DatalogLiteral DatalogLiteral::Constraint(Atom atom) {
 }
 
 namespace {
-
-// -1 = follow EngineConfig::Process(), 0 = forced off, 1 = forced on.
-std::atomic<int> g_seminaive_override{-1};
-std::atomic<int> g_incremental_override{-1};
 
 // Variable renaming shared by every body formula a rule can take: head
 // variable i -> column i, every other body variable existentially
@@ -553,46 +548,14 @@ Status RunFixpoint(const DatalogProgram& program,
 }
 
 bool ResolveSeminaive(const DatalogOptions& options) {
-  bool on;
-  switch (options.seminaive) {
-    case PlanToggle::kOn:
-      on = true;
-      break;
-    case PlanToggle::kOff:
-      on = false;
-      break;
-    default:
-      on = SeminaiveEnabled();
-      break;
-  }
   // Z_k forces the naive path: the finite-precision verdict must observe
   // every intermediate the naive rounds would materialize, and skipped
   // delta joins would shrink max_bits.
-  if (options.precision_k != 0) on = false;
-  return on;
+  return options.precision_k == 0 &&
+         ResolveToggle(options.seminaive, EngineConfig::Process().seminaive);
 }
 
 }  // namespace
-
-bool SeminaiveEnabled() {
-  int forced = g_seminaive_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().seminaive;
-}
-
-void SetSeminaiveEnabled(bool enabled) {
-  g_seminaive_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool IncrementalEnabled() {
-  int forced = g_incremental_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().incremental;
-}
-
-void SetIncrementalEnabled(bool enabled) {
-  g_incremental_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 std::string DatalogStats::ToString() const {
   std::ostringstream out;

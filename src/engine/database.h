@@ -154,11 +154,15 @@ struct QueryVerdict {
   std::string ToString() const;
 };
 
+class Session;
+
 /// The public facade of the constraint database system: a catalog of
 /// finitely representable relations plus the CALC_F query processor,
 /// covering the paper's full pipeline — INSTANTIATION, QUANTIFIER
 /// ELIMINATION, NUMERICAL EVALUATION, and AGGREGATE EVALUATION (Figure 1
-/// and Section 5).
+/// and Section 5). The read methods run in the database's default session
+/// (engine/session.h): the process config, these options, the shared
+/// thread pool and the global query log.
 ///
 /// Example:
 ///
@@ -167,7 +171,6 @@ struct QueryVerdict {
 ///   auto q = db.Query("exists y (S(x, y) and y <= 0)");
 ///   auto points = db.Solve("exists y (S(x, y) and y <= 0)", epsilon);
 ///   auto area = db.Query("SURFACE[x, y](S(x, y) and y <= 9)(z)");
-class Session;
 
 class ConstraintDatabase {
  public:
@@ -329,68 +332,6 @@ class ConstraintDatabase {
  private:
   friend class Session;
 
-  /// Execution context threaded through the read path by the facade and by
-  /// sessions: which options to evaluate under, which snapshot to read,
-  /// which query log to stamp (and with what identity). Default-constructed
-  /// = the facade path: database options, a fresh snapshot per call, the
-  /// global log, session id 0, the process config fingerprint.
-  struct ExecContext {
-    /// Null = the database's own options_.
-    const CalcFOptions* options = nullptr;
-    /// 0 = facade default path (no session).
-    std::uint64_t session_id = 0;
-    /// Null or empty = EngineConfig::Process().Fingerprint().
-    const std::string* config_fingerprint = nullptr;
-    /// Null = QueryLog::Global().
-    QueryLog* log = nullptr;
-    /// Non-null = the pinned catalog snapshot every read of this call uses;
-    /// null = take a fresh snapshot.
-    std::shared_ptr<const Catalog::View> snapshot;
-  };
-  CalcFEvaluator::RelationLookup MakeLookup() const;
-  /// A relation lookup pinned to one catalog snapshot: every relation a
-  /// query instantiates comes from the same catalog version, even while
-  /// writers mutate concurrently.
-  static CalcFEvaluator::RelationLookup LookupFor(
-      std::shared_ptr<const Catalog::View> snapshot);
-  /// The snapshot `ctx` reads: its pinned one, else a fresh Snapshot().
-  std::shared_ptr<const Catalog::View> SnapshotFor(
-      const ExecContext& ctx) const {
-    return ctx.snapshot != nullptr ? ctx.snapshot : catalog_.Snapshot();
-  }
-  const CalcFOptions& OptionsFor(const ExecContext& ctx) const {
-    return ctx.options != nullptr ? *ctx.options : options_;
-  }
-  /// The config fingerprint `ctx` stamps into query-log records: its own,
-  /// else the process config's.
-  static const std::string& FingerprintFor(const ExecContext& ctx);
-  /// Query() body; `cache_hit`, when non-null, reports whether the answer
-  /// came from the whole-query memo (Explain's cached-plan reporting).
-  StatusOr<CalcFResult> QueryImpl(const std::string& text, bool* cache_hit,
-                                  const ExecContext& ctx) const;
-  /// Context-taking twins of the public read path, shared by the facade
-  /// (default context) and sessions (their own).
-  StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
-                                        const QueryPolicy& policy,
-                                        QueryVerdict* verdict,
-                                        const ExecContext& ctx) const;
-  StatusOr<ExplainResult> Explain(const std::string& text,
-                                  const ExecContext& ctx) const;
-  StatusOr<ExplainAnalyzeResult> ExplainAnalyze(const std::string& text,
-                                                const ExecContext& ctx) const;
-  StatusOr<std::string> Plan(const std::string& text,
-                             const ExecContext& ctx) const;
-  StatusOr<CalcFResult> QueryFp(const std::string& text, std::uint32_t k,
-                                FpQeStats* stats,
-                                const ExecContext& ctx) const;
-  StatusOr<std::vector<std::vector<Rational>>> Solve(
-      const std::string& text, const Rational& epsilon,
-      const ExecContext& ctx) const;
-  StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(
-      const DatalogProgram& program, const DatalogOptions& options,
-      DatalogStats* stats, const ExecContext& ctx) const;
-  StatusOr<std::vector<std::pair<std::string, std::uint64_t>>> ReadSet(
-      const std::string& text, const ExecContext& ctx) const;
   /// The write-ahead path shared by every mutator: with `mutate_mu_` held,
   /// runs `precheck` (the mutation's precondition — anything that would
   /// make the logged record fail to replay must be rejected here, before
@@ -431,6 +372,10 @@ class ConstraintDatabase {
   DurabilityOptions durability_;
   /// Non-null iff the database was opened with OpenDurable.
   std::unique_ptr<DurableStore> store_;
+  /// The session every facade read method runs in (Session's id 0 —
+  /// process config, these options, shared pool, global log). Holds a
+  /// back-pointer to this database, so it is rebuilt on move.
+  std::unique_ptr<Session> default_session_;
 };
 
 }  // namespace ccdb

@@ -1,16 +1,16 @@
 #ifndef CCDB_ENGINE_SESSION_H_
 #define CCDB_ENGINE_SESSION_H_
 
-/// Session contexts (DESIGN.md §16): the de-globalized execution scope of
-/// the engine. A Session is opened on a ConstraintDatabase
-/// (ConstraintDatabase::OpenSession) and carries everything that used to
-/// be process-global state:
+/// Session contexts (DESIGN.md §16): the execution scope of every read.
+/// The read path (Query, Explain, Fixpoint, ...) is implemented here, once;
+/// the ConstraintDatabase read methods forward to the database's default
+/// session. A Session opened with ConstraintDatabase::OpenSession carries
+/// everything that used to be process-global state:
 ///
 ///   - an immutable, resolved EngineConfig (base/config.h) — the planner /
 ///     memo / semi-naive / incremental toggles and the thread count this
 ///     session runs at, independent of every other session's settings;
-///   - a private ThreadPool of config.threads runners (the Shared()
-///     singleton remains only as the facade's legacy default);
+///   - a private ThreadPool of config.threads runners;
 ///   - a unique session id and the config's fingerprint, stamped into
 ///     every query-log record the session produces (schema v3);
 ///   - a query-log binding (the global log by default, replaceable with a
@@ -20,6 +20,11 @@
 ///     key, read-set — runs against that one immutable catalog version,
 ///     so writers can Define/Insert/Drop concurrently without the session
 ///     observing any of it.
+///
+/// The default session (id 0) is the facade: EngineConfig::Process(), the
+/// database's CalcFOptions unmodified (kAuto toggles resolve to the process
+/// config, explicit ones win), ThreadPool::Shared(), QueryLog::Global(),
+/// and the caller's DatalogOptions passed through to Fixpoint unchanged.
 ///
 /// Answers are byte-identical across session configs (plan on/off, memo
 /// on/off, any thread count) — the engine's determinism and pure-memo
@@ -45,7 +50,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Unique in this process (1, 2, ... in open order across databases).
+  /// Unique in this process (1, 2, ... in open order across databases);
+  /// 0 for a database's default session.
   std::uint64_t id() const { return id_; }
   /// The immutable configuration this session was opened with.
   const EngineConfig& config() const { return config_; }
@@ -55,7 +61,7 @@ class Session {
   ThreadPool* pool() const { return pool_.get(); }
   /// The resolved evaluation options: the database's options with the
   /// session config applied (qe.plan / qe.memo forced on or off, qe.pool
-  /// pointing at the session pool).
+  /// pointing at the session pool); unmodified for the default session.
   const CalcFOptions& options() const { return options_; }
 
   /// Pins the database's CURRENT catalog state: until Unpin, every read
@@ -72,8 +78,8 @@ class Session {
   /// outlive the session or be reset). Null restores QueryLog::Global().
   void SetQueryLog(QueryLog* log);
 
-  /// Read path — same semantics as the ConstraintDatabase methods of the
-  /// same names, evaluated under this session's options, snapshot (when
+  /// Read path — documented on the ConstraintDatabase methods of the same
+  /// names, evaluated under this session's options, snapshot (when
   /// pinned), pool, and log binding.
   StatusOr<CalcFResult> Query(const std::string& text) const;
   StatusOr<CalcFResult> QueryWithPolicy(const std::string& text,
@@ -86,9 +92,10 @@ class Session {
                                 FpQeStats* stats = nullptr) const;
   StatusOr<std::vector<std::vector<Rational>>> Solve(
       const std::string& text, const Rational& epsilon) const;
-  /// Fixpoint under the session config: the semi-naive and incremental
-  /// toggles are forced from config(), caller options otherwise respected
-  /// (a caller-supplied pool/governor/profile wins over the session pool).
+  /// Fixpoint under an opened session's config: the semi-naive,
+  /// incremental, plan and memo toggles are forced from config(), caller
+  /// options otherwise respected (a caller-supplied pool/governor/profile
+  /// wins over the session pool). The default session forces nothing.
   StatusOr<std::map<std::string, ConstraintRelation>> Fixpoint(
       const DatalogProgram& program, const DatalogOptions& options = {},
       DatalogStats* stats = nullptr) const;
@@ -105,16 +112,25 @@ class Session {
 
  private:
   friend class ConstraintDatabase;
+  /// The default session of `db`: id 0, EngineConfig::Process(), db's
+  /// options unmodified, no private pool.
+  explicit Session(ConstraintDatabase* db);
   Session(ConstraintDatabase* db, EngineConfig config);
 
-  /// The ExecContext this session threads through the database read path.
-  /// Captures the pinned snapshot (if any) at call time.
-  ConstraintDatabase::ExecContext Context() const;
+  /// Query() body; `cache_hit`, when non-null, reports whether the answer
+  /// came from the whole-query memo (Explain's cached-plan reporting).
+  StatusOr<CalcFResult> QueryImpl(const std::string& text,
+                                  bool* cache_hit) const;
+  /// The catalog snapshot a read uses: the pinned one, else a fresh one.
+  std::shared_ptr<const Catalog::View> ReadSnapshot() const;
+  /// The query log this session's records go to.
+  QueryLog& Log() const;
 
   ConstraintDatabase* db_;
   const EngineConfig config_;
   const std::string fingerprint_;
   const std::uint64_t id_;
+  /// Null for the default session.
   std::unique_ptr<ThreadPool> pool_;
   CalcFOptions options_;
   /// Guards pinned_ and log_ (the mutable bindings).

@@ -40,7 +40,7 @@ StatusOr<ConstraintRelation> EliminateQuantifiersFp(const Formula& formula,
   // out in exact values"); it is the *materialized* numbers that must fit.
   QeStats qe_stats;
   auto result =
-      EliminateQuantifiers(formula, num_free_vars, QeOptions{}, &qe_stats);
+      EliminateQuantifiers(formula, num_free_vars, context.qe, &qe_stats);
   s->qe = qe_stats;
   s->max_bits = qe_stats.max_intermediate_bits;
   CCDB_METRIC_MAX("fp.max_bits", s->max_bits);

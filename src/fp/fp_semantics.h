@@ -13,8 +13,13 @@ namespace ccdb {
 /// longer integer has an *undefined* answer — finite-precision queries are
 /// partial, unlike the total queries of FO^R.
 struct FpContext {
+  FpContext(std::uint32_t k = 64, QeOptions qe = {}) : k(k), qe(qe) {}
+
   /// Bit budget k of Z_k.
-  std::uint32_t k = 64;
+  std::uint32_t k;
+  /// Options the underlying QE runs under (plan / memo toggles, pool,
+  /// governor); the default is the process configuration.
+  QeOptions qe;
 };
 
 /// Statistics for a finite-precision run, extending QeStats with the

@@ -1,7 +1,6 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -20,9 +19,6 @@
 namespace ccdb {
 
 namespace {
-
-// -1 = follow EngineConfig::Process(), 0 = forced off, 1 = forced on.
-std::atomic<int> g_plan_override{-1};
 
 std::uint64_t MaxBits(const std::vector<GeneralizedTuple>& tuples) {
   std::uint64_t bits = 0;
@@ -400,26 +396,8 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
 
 }  // namespace
 
-bool PlannerEnabled() {
-  int forced = g_plan_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  return EngineConfig::Process().plan;
-}
-
-void SetPlannerEnabled(bool enabled) {
-  g_plan_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool PlannerResolved(const QeOptions& options) {
-  switch (options.plan) {
-    case PlanToggle::kOn:
-      return true;
-    case PlanToggle::kOff:
-      return false;
-    case PlanToggle::kAuto:
-      return PlannerEnabled();
-  }
-  return false;
+  return ResolveToggle(options.plan, EngineConfig::Process().plan);
 }
 
 std::string QueryPlan::Summary() const {

@@ -51,10 +51,10 @@ struct QeStats {
 };
 
 /// PlanToggle (base/config.h) is the three-way switch carried by the
-/// option structs below: kAuto follows the process-wide switch (itself
-/// defaulted from EngineConfig), kOn/kOff force the feature per call. The
-/// executor forces plan=kOff on its per-block sub-eliminations so plan
-/// execution reuses the monolithic primitives verbatim.
+/// option structs below: kAuto is the process config, kOn/kOff force the
+/// feature per call. The executor forces plan=kOff on its per-block
+/// sub-eliminations so plan execution reuses the monolithic primitives
+/// verbatim.
 
 /// Options for quantifier elimination.
 struct QeOptions {
@@ -85,8 +85,8 @@ struct QeOptions {
   /// Structure-aware planning (plan/planner.h): classify the quantifier
   /// block into fragments, miniscope ∃ into the narrowest scope, split
   /// independent variable components, and dispatch each block to the
-  /// cheapest engine (dense-order / Fourier-Motzkin / CAD). kAuto follows
-  /// the process-wide CCDB_PLAN switch (default on); kOff is the
+  /// cheapest engine (dense-order / Fourier-Motzkin / CAD). kAuto is
+  /// EngineConfig::Process().plan (CCDB_PLAN, default on); kOff is the
   /// monolithic fallback path.
   PlanToggle plan = PlanToggle::kAuto;
   /// Memo layers (QE result cache, resultant/PRS cache, whole-query cache)

@@ -26,15 +26,10 @@ class CacheScopingTest : public testing::Test {
  protected:
   void SetUp() override {
     saved_memo_ = MemoCachesEnabled();
-    saved_incremental_ = IncrementalEnabled();
     SetMemoCachesEnabled(true);
-    SetIncrementalEnabled(true);
     hits_ = MetricsRegistry::Global().GetCounter("query_cache_hits");
   }
-  void TearDown() override {
-    SetMemoCachesEnabled(saved_memo_);
-    SetIncrementalEnabled(saved_incremental_);
-  }
+  void TearDown() override { SetMemoCachesEnabled(saved_memo_); }
 
   // Runs the query and reports whether it was answered by the whole-query
   // memo, via the hit counter delta (single-threaded test, so exact).
@@ -47,7 +42,6 @@ class CacheScopingTest : public testing::Test {
 
   Counter* hits_ = nullptr;
   bool saved_memo_ = false;
-  bool saved_incremental_ = false;
 };
 
 TEST_F(CacheScopingTest, InsertIntoUnreadRelationKeepsEntriesHot) {
@@ -141,6 +135,8 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
     program.rules.push_back(rule);
   }
 
+  DatalogOptions incremental;
+  incremental.incremental = PlanToggle::kOn;
   Counter* fp_hits =
       MetricsRegistry::Global().GetCounter("datalog_fixpoint_hits");
   Counter* fp_resumes =
@@ -150,13 +146,13 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
 
   // Cold: one recompute, which materializes the state.
   std::uint64_t recomputes = fp_recomputes->value();
-  ASSERT_TRUE(db.Fixpoint(program).ok());
+  ASSERT_TRUE(db.Fixpoint(program, incremental).ok());
   EXPECT_EQ(fp_recomputes->value(), recomputes + 1);
 
   // Unchanged EDB: replay, no evaluation.
   std::uint64_t hits = fp_hits->value();
   DatalogStats replay_stats;
-  auto replayed = db.Fixpoint(program, {}, &replay_stats);
+  auto replayed = db.Fixpoint(program, incremental, &replay_stats);
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(fp_hits->value(), hits + 1);
   EXPECT_TRUE(replay_stats.reached_fixpoint);
@@ -166,7 +162,7 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   ASSERT_TRUE(
       db.Insert("FixEdge(x, y) := y - x - 1 = 0 and x >= 3 and x <= 4").ok());
   std::uint64_t resumes = fp_resumes->value();
-  auto resumed = db.Fixpoint(program);
+  auto resumed = db.Fixpoint(program, incremental);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(fp_resumes->value(), resumes + 1);
   EXPECT_TRUE(resumed->at("Reach").Contains({R(0), R(5)}))
@@ -177,17 +173,17 @@ TEST_F(CacheScopingTest, FixpointHitResumeRecomputeMetrics) {
   ASSERT_TRUE(
       db.Define("FixEdge(x, y) := y - x - 1 = 0 and x >= 0 and x <= 1").ok());
   recomputes = fp_recomputes->value();
-  auto recomputed = db.Fixpoint(program);
+  auto recomputed = db.Fixpoint(program, incremental);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_EQ(fp_recomputes->value(), recomputes + 1);
   EXPECT_FALSE(recomputed->at("Reach").Contains({R(0), R(5)}))
       << "the recomputed fixpoint must not leak the dropped tuples";
 
-  // CCDB_INCREMENTAL=0: always a cold evaluation, no metric movement.
-  SetIncrementalEnabled(false);
+  // Incremental off: always a cold evaluation, no metric movement.
+  incremental.incremental = PlanToggle::kOff;
   std::uint64_t frozen_hits = fp_hits->value();
   std::uint64_t frozen_resumes = fp_resumes->value();
-  ASSERT_TRUE(db.Fixpoint(program).ok());
+  ASSERT_TRUE(db.Fixpoint(program, incremental).ok());
   EXPECT_EQ(fp_hits->value(), frozen_hits);
   EXPECT_EQ(fp_resumes->value(), frozen_resumes);
 }

@@ -29,19 +29,6 @@ Polynomial Z() { return Polynomial::Var(2); }
 
 Atom A(const Polynomial& p, RelOp op = RelOp::kLe) { return Atom(p, op); }
 
-// Restores the process-wide planner switch on scope exit so tests that
-// flip it cannot leak state into the rest of the suite.
-class PlannerToggleGuard {
- public:
-  explicit PlannerToggleGuard(bool enabled) : before_(PlannerEnabled()) {
-    SetPlannerEnabled(enabled);
-  }
-  ~PlannerToggleGuard() { SetPlannerEnabled(before_); }
-
- private:
-  bool before_;
-};
-
 // ---------------------------------------------------------------------------
 // Fragment classification (the shared linearity/degree helper).
 
@@ -244,22 +231,18 @@ TEST(PlanQueryTest, DisabledDisjunctSplitFallsBackOnMultiDisjunctInputs) {
 // ---------------------------------------------------------------------------
 // Execution: toggles, byte identity, and the planner's cost advantage.
 
-TEST(PlanExecTest, PerCallToggleOverridesTheProcessSwitch) {
+TEST(PlanExecTest, PerCallToggleOverridesTheProcessConfig) {
   QeOptions on, off, follow;
   on.plan = PlanToggle::kOn;
   off.plan = PlanToggle::kOff;
   EXPECT_TRUE(PlannerResolved(on));
   EXPECT_FALSE(PlannerResolved(off));
-  {
-    PlannerToggleGuard guard(false);
-    EXPECT_FALSE(PlannerResolved(follow));  // kAuto follows the switch
-    EXPECT_TRUE(PlannerResolved(on));       // per-call force wins
-  }
-  {
-    PlannerToggleGuard guard(true);
-    EXPECT_TRUE(PlannerResolved(follow));
-    EXPECT_FALSE(PlannerResolved(off));
-  }
+  // kAuto follows the process config; a per-call force wins over it.
+  EXPECT_EQ(PlannerResolved(follow), EngineConfig::Process().plan);
+  EXPECT_FALSE(ResolveToggle(PlanToggle::kAuto, false));
+  EXPECT_TRUE(ResolveToggle(PlanToggle::kAuto, true));
+  EXPECT_TRUE(ResolveToggle(PlanToggle::kOn, false));
+  EXPECT_FALSE(ResolveToggle(PlanToggle::kOff, true));
 }
 
 TEST(PlanExecTest, StatsCarryThePlanOnlyOnThePlannedPath) {

@@ -1,6 +1,6 @@
 // Semi-naive / incremental differential tests: the delta-driven fixpoint
 // is a pure optimization, so its output must be BYTE-IDENTICAL to the
-// naive executable spec across CCDB_SEMINAIVE x CCDB_PLAN x thread count
+// naive executable spec across semi-naive x plan x thread count
 // on every corpus — transitive closure, same-generation, mutual
 // recursion, and constraint-heavy bodies — and the incremental resume
 // path (ConstraintDatabase::Fixpoint after Insert) must reproduce the
@@ -20,7 +20,6 @@
 #include "base/thread_pool.h"
 #include "datalog/datalog.h"
 #include "engine/database.h"
-#include "plan/planner.h"
 
 namespace ccdb {
 namespace {
@@ -31,26 +30,16 @@ Rational R(std::int64_t n, std::int64_t d = 1) {
 
 Polynomial V(int i) { return Polynomial::Var(i); }
 
-// Saves the process-wide toggles and restores them on scope exit, so the
-// matrix sweeps below never leak state into other tests.
-class ToggleGuard {
+PlanToggle Force(bool on) { return on ? PlanToggle::kOn : PlanToggle::kOff; }
+
+// Saves the process-wide memo switch and restores it on scope exit, so a
+// test that pins it never leaks state into other tests.
+class MemoGuard {
  public:
-  ToggleGuard()
-      : seminaive_(SeminaiveEnabled()),
-        incremental_(IncrementalEnabled()),
-        plan_(PlannerEnabled()),
-        memo_(MemoCachesEnabled()) {}
-  ~ToggleGuard() {
-    SetSeminaiveEnabled(seminaive_);
-    SetIncrementalEnabled(incremental_);
-    SetPlannerEnabled(plan_);
-    SetMemoCachesEnabled(memo_);
-  }
+  MemoGuard() : memo_(MemoCachesEnabled()) {}
+  ~MemoGuard() { SetMemoCachesEnabled(memo_); }
 
  private:
-  bool seminaive_;
-  bool incremental_;
-  bool plan_;
   bool memo_;
 };
 
@@ -238,17 +227,16 @@ void ExpectSameBinaryRelation(const ConstraintRelation& got,
 }
 
 TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
-  ToggleGuard guard;
   for (Corpus& corpus : Corpora()) {
     // Baseline: naive, no planner, serial.
     std::string baseline;
     for (bool seminaive : {false, true}) {
       for (bool plan : {false, true}) {
         for (int threads : {1, 2, 8}) {
-          SetSeminaiveEnabled(seminaive);
-          SetPlannerEnabled(plan);
           ThreadPool pool(threads);
           DatalogOptions options;
+          options.seminaive = Force(seminaive);
+          options.qe.plan = Force(plan);
           options.qe.pool = &pool;
           DatalogStats stats;
           auto result =
@@ -276,10 +264,8 @@ TEST(SeminaiveDifferentialTest, ByteIdenticalAcrossSeminaivePlanThreads) {
   }
 }
 
-TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
-  ToggleGuard guard;
+TEST(SeminaiveDifferentialTest, ExplicitOptionSelectsPath) {
   Corpus corpus = Corpora()[0];
-  SetSeminaiveEnabled(false);
   DatalogOptions forced_on;
   forced_on.seminaive = PlanToggle::kOn;
   DatalogStats on_stats;
@@ -287,7 +273,6 @@ TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_GT(on_stats.delta_tuples, 0u) << "kOn must run the delta path";
 
-  SetSeminaiveEnabled(true);
   DatalogOptions forced_off;
   forced_off.seminaive = PlanToggle::kOff;
   DatalogStats off_stats;
@@ -299,9 +284,10 @@ TEST(SeminaiveDifferentialTest, ExplicitOptionOverridesProcessToggle) {
 }
 
 TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
-  ToggleGuard guard;
-  SetSeminaiveEnabled(true);
-  SetIncrementalEnabled(true);
+  MemoGuard guard;
+  DatalogOptions resume;
+  resume.seminaive = PlanToggle::kOn;
+  resume.incremental = PlanToggle::kOn;
   // The materialized-fixpoint state sits behind the memo master switch;
   // pin it on so a CCDB_QE_CACHE=0 CI leg still exercises the resume
   // path this test is about.
@@ -318,7 +304,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
   // Cold fixpoint, then a deterministic pseudo-random sequence of
   // append-only segment inserts; after each, the resumed fixpoint must
   // equal a from-scratch recompute over the same catalog state.
-  auto warm = db.Fixpoint(program);
+  auto warm = db.Fixpoint(program, resume);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -333,7 +319,7 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
     ASSERT_TRUE(db.Insert(segment).ok()) << segment;
 
     DatalogStats incremental_stats;
-    auto incremental = db.Fixpoint(program, {}, &incremental_stats);
+    auto incremental = db.Fixpoint(program, resume, &incremental_stats);
     ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
 
     // From-scratch reference over the identical catalog state.
@@ -353,8 +339,8 @@ TEST(SeminaiveDifferentialTest, ResumeMatchesRecomputeUnderInsertSequences) {
        "recomputes";
 
   // With incremental off, the same call still answers (recompute path).
-  SetIncrementalEnabled(false);
-  auto recomputed = db.Fixpoint(program);
+  resume.incremental = PlanToggle::kOff;
+  auto recomputed = db.Fixpoint(program, resume);
   ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
   auto edge = db.Relation("Edge");
   ASSERT_TRUE(edge.ok());

@@ -297,5 +297,22 @@ TEST(SessionTest, SessionFixpointForcesConfiguredDatalogToggles) {
   EXPECT_EQ(stats_naive.delta_tuples, 0u) << "naive path must have run";
 }
 
+TEST(SessionTest, QueryFpRunsUnderTheSessionMemoToggle) {
+  // QueryFp's quantifier elimination runs under the session's options: a
+  // memo-off session neither reads nor writes the QE cache, so repeating
+  // the same text never reports a cache hit.
+  ConstraintDatabase db;
+  DefineFixtures(db);
+  std::unique_ptr<Session> session =
+      db.OpenSession(EngineConfig::Process().WithQeCache(false));
+  const std::string text = "exists y (L(x, y) and y >= 1)";
+  for (int run = 0; run < 2; ++run) {
+    FpQeStats stats;
+    auto result = session->QueryFp(text, 64, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(stats.qe.cache_hits, 0u) << "run " << run;
+  }
+}
+
 }  // namespace
 }  // namespace ccdb
