@@ -336,20 +336,20 @@ StatusOr<AggregateValue> AggregateModules::Surface(
         // rejected above).
         auto graph_of = [&](const CadCell& section,
                             UPoly* out) -> bool {
-          for (const Polynomial& factor : cad.factors_at_level(1)) {
-            if (section.sample.SignAt(factor) != 0) continue;
-            if (factor.DegreeIn(1) != 1) return false;
-            Polynomial lc = factor.LeadingCoefficientIn(1);
-            if (!lc.is_constant()) return false;
-            Polynomial g =
-                factor.CoefficientsIn(1)[0].Scale(-lc.constant_value()
-                                                       .Inverse());
-            auto u = UPoly::FromPolynomial(g, 0);
-            if (!u.ok()) return false;
-            *out = std::move(*u);
-            return true;
-          }
-          return false;
+          // The first factor vanishing on the section (lifting record).
+          if (section.vanishing.empty()) return false;
+          const Polynomial& factor =
+              cad.factors_at_level(1)[section.vanishing.front()];
+          if (factor.DegreeIn(1) != 1) return false;
+          Polynomial lc = factor.LeadingCoefficientIn(1);
+          if (!lc.is_constant()) return false;
+          Polynomial g =
+              factor.CoefficientsIn(1)[0].Scale(-lc.constant_value()
+                                                     .Inverse());
+          auto u = UPoly::FromPolynomial(g, 0);
+          if (!u.ok()) return false;
+          *out = std::move(*u);
+          return true;
         };
         UPoly lower_graph, upper_graph;
         if (j == 0 || j + 1 >= stack.size() ||

@@ -64,10 +64,13 @@ struct EngineConfig {
   /// Capacity of the QE result cache (CCDB_QE_CACHE_CAPACITY,
   /// default 4096 entries).
   std::size_t qe_cache_capacity = 4096;
-  /// Numeric-filtered hybrid QE: decide cell truth in interval/float
-  /// arithmetic first, fall back to exact arithmetic when inconclusive
-  /// (CCDB_FILTER, default on). Reserved: parsed and carried now so the
-  /// knob is stable before the filter stage lands (ROADMAP).
+  /// CCDB_FILTER (default on). Unread: sign evaluation at CAD sample
+  /// points is always filtered (one interval pass, zeros from the lifting
+  /// record, exact fallback; DESIGN.md §"Sample-point sign evaluation"),
+  /// and the filtered path is exact by construction, so there is nothing
+  /// to switch off. It stays only because it is part of Canonical(), the
+  /// configuration fingerprint benchmark runs are compared under; delete
+  /// it together with the next benchmark change.
   bool filter = true;
   /// Minimum log severity, one of DEBUG|INFO|WARN|ERROR|OFF
   /// (CCDB_LOG_LEVEL, default WARN). Stored as the canonical spelling.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
 
@@ -162,15 +163,22 @@ int Formula::Node::Compare(const Node& a, const Node& b) {
 
 /// The process-wide hash-consing arena. Holds WEAK references: a node dies
 /// with its last Formula handle, so the arena bounds itself to the set of
-/// reachable formulas (expired entries are compacted on bucket access).
-/// Ids are assigned from a monotone counter and never reused.
+/// reachable formulas. Nodes come from make_shared, so a dead node's
+/// storage stays allocated until its weak entry goes: expired entries are
+/// compacted whenever their bucket is probed, and each shard is swept
+/// whole (expired entries dropped, empty buckets erased) when its slot
+/// count has doubled since the last sweep. Ids are assigned from a
+/// monotone counter and never reused.
 struct Formula::Arena {
   static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kMinSweep = 64;
 
   struct Shard {
     std::mutex mu;
     std::unordered_map<std::size_t, std::vector<std::weak_ptr<const Node>>>
         buckets;
+    std::size_t slots = 0;              // weak entries in this shard
+    std::size_t sweep_at = kMinSweep;   // slots that trigger the next sweep
   };
   Shard shards[kShards];
   std::atomic<std::uint64_t> next_id{1};
@@ -181,6 +189,10 @@ struct Formula::Arena {
     return *arena;
   }
 
+  // Destroying a node never takes an arena lock (it only releases child
+  // handles and weak counts), so a probe that ends up holding the last
+  // strong reference may drop it under the shard lock; the sweep tests
+  // expired() only and never takes a strong reference at all.
   std::shared_ptr<const Node> Intern(std::shared_ptr<Node> node) {
     Node::Finish(node.get());
     Shard& shard = shards[node->hash % kShards];
@@ -194,6 +206,7 @@ struct Formula::Arena {
       if (found == nullptr && Node::Equal(*existing, *node)) found = existing;
       bucket[live++] = bucket[i];
     }
+    shard.slots -= bucket.size() - live;
     bucket.resize(live);
     if (found != nullptr) {
       CCDB_METRIC_COUNT("formula_intern_hits", 1);
@@ -203,7 +216,22 @@ struct Formula::Arena {
     total_interned.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<const Node> owned = std::move(node);
     bucket.push_back(owned);
+    if (++shard.slots >= shard.sweep_at) Sweep(&shard);
     return owned;
+  }
+
+  // Drops expired entries and empty buckets. Requires shard->mu.
+  static void Sweep(Shard* shard) {
+    shard->slots = 0;
+    for (auto it = shard->buckets.begin(); it != shard->buckets.end();) {
+      auto& bucket = it->second;
+      std::erase_if(bucket, [](const std::weak_ptr<const Node>& weak) {
+        return weak.expired();
+      });
+      shard->slots += bucket.size();
+      it = bucket.empty() ? shard->buckets.erase(it) : std::next(it);
+    }
+    shard->sweep_at = std::max(kMinSweep, 2 * shard->slots);
   }
 
   FormulaArenaStats Stats() {
@@ -211,6 +239,7 @@ struct Formula::Arena {
     stats.total_interned = total_interned.load(std::memory_order_relaxed);
     for (Shard& shard : shards) {
       std::lock_guard<std::mutex> lock(shard.mu);
+      stats.retained_slots += shard.slots;
       for (const auto& [hash, bucket] : shard.buckets) {
         for (const auto& weak : bucket) {
           if (!weak.expired()) ++stats.live_nodes;

@@ -135,9 +135,12 @@ class Formula {
 /// node-count columns. The arena holds weak references: nodes die with
 /// their last handle, so `live_nodes` tracks reachable formulas while
 /// `total_interned` counts every distinct node ever interned.
+/// `retained_slots` counts the arena's weak entries, live or expired but
+/// not yet swept (each expired one still pins its node's storage).
 struct FormulaArenaStats {
   std::size_t live_nodes = 0;
   std::size_t total_interned = 0;
+  std::size_t retained_slots = 0;
 };
 FormulaArenaStats GetFormulaArenaStats();
 

@@ -8,7 +8,12 @@ AlgebraicNumber::AlgebraicNumber(Rational value)
     : poly_(UPoly({-value, Rational(1)})), root_{Interval(value), true} {}
 
 AlgebraicNumber::AlgebraicNumber(const UPoly& defining, IsolatedRoot root)
-    : poly_(defining.SquarefreePart()), root_(std::move(root)) {
+    : AlgebraicNumber(defining.SquarefreePart(), std::move(root),
+                      SquarefreeTag{}) {}
+
+AlgebraicNumber::AlgebraicNumber(UPoly squarefree, IsolatedRoot root,
+                                 SquarefreeTag)
+    : poly_(std::move(squarefree)), root_(std::move(root)) {
   CCDB_CHECK_MSG(poly_.degree() >= 1, "defining polynomial must be nonconstant");
   if (root_.is_exact) {
     CCDB_CHECK_MSG(poly_.Evaluate(root_.interval.lo()).sign() == 0,
@@ -33,12 +38,12 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicNumber::RootsOf(
   std::vector<AlgebraicNumber> numbers;
   UPoly f = p.SquarefreePart();
   CCDB_ASSIGN_OR_RETURN(std::vector<IsolatedRoot> isolated,
-                        IsolateRealRoots(f, gov));
+                        IsolateSquarefreeRealRoots(f, gov));
   for (IsolatedRoot& root : isolated) {
     if (root.is_exact) {
       numbers.emplace_back(root.interval.lo());
     } else {
-      numbers.emplace_back(f, std::move(root));
+      numbers.push_back(AlgebraicNumber(f, std::move(root), SquarefreeTag{}));
     }
   }
   return numbers;
@@ -58,9 +63,14 @@ int AlgebraicNumber::Sign() const {
   return SignOfPolyAt(UPoly::X());
 }
 
-int AlgebraicNumber::SignOfPolyAt(const UPoly& q) const {
+int AlgebraicNumber::SignOfPolyAt(const UPoly& q, bool* exact) const {
+  if (exact != nullptr) *exact = false;
   if (q.is_zero()) return 0;
   if (root_.is_exact) return q.Evaluate(root_.interval.lo()).sign();
+  // Filter: the interval enclosure of q over the isolating interval.
+  int sign = q.EvaluateInterval(root_.interval).CertainSign();
+  if (sign != Interval::kAmbiguousSign) return sign;
+  if (exact != nullptr) *exact = true;
   // q(alpha) == 0 iff alpha is a common root of q and the defining
   // polynomial, iff gcd(q, poly_) has a root in the isolating interval.
   UPoly g = UPoly::Gcd(q, poly_);
@@ -71,15 +81,20 @@ int AlgebraicNumber::SignOfPolyAt(const UPoly& q) const {
     // half-open Sturm count equals the open count.
     if (UPoly::SturmCountRoots(chain, iv.lo(), iv.hi()) > 0) return 0;
   }
-  // Nonzero: refine until the interval enclosure of q has a certain sign.
+  return NonzeroSignOfPolyAt(q);
+}
+
+int AlgebraicNumber::NonzeroSignOfPolyAt(const UPoly& q) const {
+  // q(alpha) != 0, so the enclosure's sign becomes certain once the
+  // interval is narrow enough.
   while (true) {
+    if (root_.is_exact) return q.Evaluate(root_.interval.lo()).sign();
     Interval value = q.EvaluateInterval(root_.interval);
     int sign = value.CertainSign();
     if (sign != Interval::kAmbiguousSign) return sign;
     Rational half_width =
         root_.interval.Width() * Rational(BigInt(1), BigInt(2));
     root_ = RefineRoot(poly_, std::move(root_), half_width);
-    if (root_.is_exact) return q.Evaluate(root_.interval.lo()).sign();
   }
 }
 

@@ -54,9 +54,17 @@ class AlgebraicNumber {
   /// Sign of this number: refined until certain.
   int Sign() const;
 
-  /// Exact sign of q evaluated at this number (0 iff q(alpha) == 0, decided
-  /// exactly via gcd with the defining polynomial).
-  int SignOfPolyAt(const UPoly& q) const;
+  /// Exact sign of q evaluated at this number. One interval evaluation on
+  /// the current isolating interval decides most calls; only when it
+  /// straddles 0 is q(alpha) == 0 decided exactly via gcd with the defining
+  /// polynomial. `exact`, when non-null, is set to whether that exact step
+  /// ran.
+  int SignOfPolyAt(const UPoly& q, bool* exact = nullptr) const;
+
+  /// Sign of q at this number when q(alpha) != 0 is already known: refines
+  /// until the interval enclosure of q has a certain sign, with no exact
+  /// zero test.
+  int NonzeroSignOfPolyAt(const UPoly& q) const;
 
   /// Exact three-way comparison with another algebraic number.
   int Compare(const AlgebraicNumber& other) const;
@@ -77,6 +85,10 @@ class AlgebraicNumber {
   std::string ToString() const;
 
  private:
+  struct SquarefreeTag {};
+  // `squarefree` is already squarefree (and monic): no recomputation.
+  AlgebraicNumber(UPoly squarefree, IsolatedRoot root, SquarefreeTag);
+
   UPoly poly_;               // squarefree, nonzero at non-exact endpoints
   mutable IsolatedRoot root_;  // refined lazily by const operations
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -130,17 +131,24 @@ void AddTermTo(TermMap* terms, const Monomial& monomial,
 
 }  // namespace
 
-/// Process-wide polynomial intern pool: hash → representations. Entries
-/// are never evicted (they are the identity of the canonical instances);
-/// the pool holds strong references so pooled reps live for the process
-/// lifetime. Sharded to keep concurrent canonicalization cheap.
+/// Process-wide polynomial intern pool: hash → representations. The pool
+/// holds strong references, so a pooled rep stays canonical while any
+/// handle to it lives; entries nobody else holds are swept out, per shard
+/// and amortised (a shard is swept when it has doubled since its last
+/// sweep), so the pool tracks the live set instead of every polynomial
+/// ever interned. An evicted rep had no other holder, so no live handle
+/// can observe that a later equal polynomial gets a new canonical rep.
+/// Sharded to keep concurrent canonicalization cheap.
 struct Polynomial::Pool {
   static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kMinSweep = 64;
 
   struct Shard {
     std::mutex mu;
     std::unordered_map<std::size_t, std::vector<std::shared_ptr<const Rep>>>
         buckets;
+    std::size_t size = 0;                // entries in this shard
+    std::size_t sweep_at = kMinSweep;    // size that triggers the next sweep
   };
   Shard shards[kShards];
   std::atomic<std::size_t> entries{0};
@@ -163,7 +171,26 @@ struct Polynomial::Pool {
     rep->interned.store(true, std::memory_order_relaxed);
     bucket.push_back(rep);
     entries.fetch_add(1, std::memory_order_relaxed);
+    if (++shard.size >= shard.sweep_at) Sweep(&shard);
     return rep;
+  }
+
+  // Drops the entries only the pool holds. Requires shard->mu. A count of
+  // 1 cannot rise concurrently: the only other path to the rep is Intern,
+  // which needs the lock held here. Destroying a rep takes no lock.
+  void Sweep(Shard* shard) {
+    std::size_t kept = 0;
+    for (auto it = shard->buckets.begin(); it != shard->buckets.end();) {
+      auto& bucket = it->second;
+      std::erase_if(bucket, [](const std::shared_ptr<const Rep>& rep) {
+        return rep.use_count() == 1;
+      });
+      kept += bucket.size();
+      it = bucket.empty() ? shard->buckets.erase(it) : std::next(it);
+    }
+    entries.fetch_sub(shard->size - kept, std::memory_order_relaxed);
+    shard->size = kept;
+    shard->sweep_at = std::max(kMinSweep, 2 * kept);
   }
 };
 

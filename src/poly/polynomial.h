@@ -63,7 +63,8 @@ class Monomial {
 };
 
 /// Occupancy of the process-wide polynomial intern pool (for REPL `.stats`
-/// and bench node-count columns).
+/// and bench node-count columns): entries currently pooled, including
+/// unreferenced ones not yet swept.
 struct PolyInternStats {
   std::size_t entries = 0;
 };
@@ -166,8 +167,9 @@ class Polynomial {
 
   /// The canonical pooled instance of this polynomial: structurally equal
   /// polynomials returned by Interned() share one representation, so
-  /// equality between them is a single pointer comparison. Thread-safe;
-  /// pool entries live for the process lifetime.
+  /// equality between them is a single pointer comparison. Thread-safe.
+  /// A pool entry lives while any handle to it does; entries nobody else
+  /// holds are swept out as the pool grows.
   Polynomial Interned() const;
 
   /// Largest coefficient bit length (numerator or denominator): the size

@@ -105,9 +105,14 @@ std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p) {
 
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     const UPoly& p, const ResourceGovernor* gov) {
-  std::vector<IsolatedRoot> roots;
   CCDB_CHECK_MSG(!p.is_zero(), "cannot isolate roots of the zero polynomial");
-  UPoly f = p.SquarefreePart();
+  return IsolateSquarefreeRealRoots(p.SquarefreePart(), gov);
+}
+
+StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRealRoots(
+    const UPoly& f, const ResourceGovernor* gov) {
+  std::vector<IsolatedRoot> roots;
+  CCDB_CHECK_MSG(!f.is_zero(), "cannot isolate roots of the zero polynomial");
   if (f.degree() <= 0) return roots;
   if (f.degree() == 1) {
     // Exact rational root -c0/c1.
@@ -183,9 +188,9 @@ StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
 IsolatedRoot RefineRoot(const UPoly& p, IsolatedRoot root,
                         const Rational& width) {
   if (root.is_exact || root.interval.Width() <= width) return root;
-  UPoly f = p.SquarefreePart();
+  CCDB_DCHECK(UPoly::Gcd(p, p.Derivative()).degree() <= 0);
   bool became_exact = false;
-  Interval refined = BisectToWidth(f, root.interval.lo(), root.interval.hi(),
+  Interval refined = BisectToWidth(p, root.interval.lo(), root.interval.hi(),
                                    width, &became_exact);
   return {std::move(refined), became_exact};
 }
@@ -193,9 +198,13 @@ IsolatedRoot RefineRoot(const UPoly& p, IsolatedRoot root,
 std::vector<Rational> ApproximateRealRoots(const UPoly& p,
                                            const Rational& epsilon) {
   CCDB_CHECK_MSG(epsilon.sign() > 0, "epsilon must be positive");
+  CCDB_CHECK_MSG(!p.is_zero(), "cannot isolate roots of the zero polynomial");
+  UPoly f = p.SquarefreePart();
+  auto roots = IsolateSquarefreeRealRoots(f, nullptr);
+  CCDB_CHECK(roots.ok());  // a null governor never trips
   std::vector<Rational> values;
-  for (IsolatedRoot& root : IsolateRealRoots(p)) {
-    IsolatedRoot refined = RefineRoot(p, std::move(root), epsilon);
+  for (IsolatedRoot& root : *roots) {
+    IsolatedRoot refined = RefineRoot(f, std::move(root), epsilon);
     values.push_back(refined.is_exact ? refined.interval.lo()
                                       : refined.interval.Midpoint());
   }

@@ -32,8 +32,15 @@ std::vector<IsolatedRoot> IsolateRealRoots(const UPoly& p);
 StatusOr<std::vector<IsolatedRoot>> IsolateRealRoots(
     const UPoly& p, const ResourceGovernor* gov);
 
-/// Shrinks an isolating interval of squarefree `p` below `width` by
-/// bisection, preserving the isolation invariant. No-op for exact roots.
+/// IsolateRealRoots for a polynomial that is already squarefree (as
+/// returned by UPoly::SquarefreePart): skips recomputing the squarefree
+/// part.
+StatusOr<std::vector<IsolatedRoot>> IsolateSquarefreeRealRoots(
+    const UPoly& f, const ResourceGovernor* gov);
+
+/// Shrinks an isolating interval of `p` below `width` by bisection,
+/// preserving the isolation invariant. No-op for exact roots. `p` must be
+/// squarefree (checked in debug builds only).
 IsolatedRoot RefineRoot(const UPoly& p, IsolatedRoot root,
                         const Rational& width);
 

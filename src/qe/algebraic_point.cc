@@ -57,45 +57,78 @@ Polynomial AlgebraicPoint::EliminateCoords(Polynomial q, int extra_var) const {
   return *std::move(result);
 }
 
-int AlgebraicPoint::SignAt(const Polynomial& p) const {
+Polynomial AlgebraicPoint::SubstituteRational(const Polynomial& p,
+                                              int* algebraic_var,
+                                              int* algebraic_count) const {
   CCDB_CHECK_MSG(p.max_var() < dimension(),
                  "polynomial mentions variables beyond the point dimension");
-  // Fast path: substitute rational coordinates; if at most one algebraic
-  // coordinate remains, delegate to the univariate machinery.
   Polynomial q = p;
-  int algebraic_var = -1;
-  int algebraic_count = 0;
+  *algebraic_var = -1;
+  *algebraic_count = 0;
   for (int i = 0; i < dimension(); ++i) {
     if (!q.Mentions(i)) continue;
     if (coords_[i].is_rational()) {
       q = q.Substitute(i, coords_[i].rational_value());
     } else {
-      algebraic_var = i;
-      ++algebraic_count;
+      *algebraic_var = i;
+      ++*algebraic_count;
     }
   }
+  return q;
+}
+
+std::vector<Interval> AlgebraicPoint::Box(const Polynomial& q) const {
+  std::vector<Interval> box(dimension(), Interval(Rational(0)));
+  for (int i = 0; i < dimension(); ++i) {
+    if (q.Mentions(i)) box[i] = coords_[i].isolating_interval();
+  }
+  return box;
+}
+
+int AlgebraicPoint::SignAt(const Polynomial& p, bool* exact) const {
+  if (exact != nullptr) *exact = false;
+  // Substitute rational coordinates; if at most one algebraic coordinate
+  // remains, delegate to the univariate machinery.
+  int algebraic_var = -1;
+  int algebraic_count = 0;
+  Polynomial q = SubstituteRational(p, &algebraic_var, &algebraic_count);
   if (q.is_constant()) return q.constant_value().sign();
   if (algebraic_count == 1) {
     auto u = UPoly::FromPolynomial(q, algebraic_var);
     CCDB_CHECK(u.ok());
-    return coords_[algebraic_var].SignOfPolyAt(*u);
+    return coords_[algebraic_var].SignOfPolyAt(*u, exact);
   }
-  // General path: bounded interval refinement, then exact identification.
-  std::vector<Interval> box(dimension(), Interval(Rational(0)));
-  for (int round = 0; round < 4; ++round) {
+  // General path: one interval evaluation on the current coordinate
+  // intervals, then exact identification. Refining blindly first cannot
+  // certify a zero, which is the common ambiguous case.
+  int sign = q.EvaluateInterval(Box(q)).CertainSign();
+  if (sign != Interval::kAmbiguousSign) return sign;
+  if (exact != nullptr) *exact = true;
+  return ValueAt(p).Sign();
+}
+
+int AlgebraicPoint::NonzeroSignAt(const Polynomial& p) const {
+  int algebraic_var = -1;
+  int algebraic_count = 0;
+  Polynomial q = SubstituteRational(p, &algebraic_var, &algebraic_count);
+  if (q.is_constant()) return q.constant_value().sign();
+  if (algebraic_count == 1) {
+    auto u = UPoly::FromPolynomial(q, algebraic_var);
+    CCDB_CHECK(u.ok());
+    return coords_[algebraic_var].NonzeroSignOfPolyAt(*u);
+  }
+  // p(point) != 0, so halving every mentioned coordinate's interval makes
+  // the enclosure's sign certain after finitely many rounds.
+  while (true) {
+    int sign = q.EvaluateInterval(Box(q)).CertainSign();
+    if (sign != Interval::kAmbiguousSign) return sign;
     for (int i = 0; i < dimension(); ++i) {
       if (q.Mentions(i)) {
-        if (round > 0) {
-          coords_[i].RefineTo(coords_[i].isolating_interval().Width() *
-                              Rational(BigInt(1), BigInt::Pow2(16)));
-        }
-        box[i] = coords_[i].isolating_interval();
+        coords_[i].RefineTo(coords_[i].isolating_interval().Width() *
+                            Rational(BigInt(1), BigInt(2)));
       }
     }
-    int sign = q.EvaluateInterval(box).CertainSign();
-    if (sign != Interval::kAmbiguousSign) return sign;
   }
-  return ValueAt(p).Sign();
 }
 
 AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {

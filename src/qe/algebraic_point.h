@@ -42,7 +42,17 @@ class AlgebraicPoint {
   std::vector<Rational> RationalCoords() const;
 
   /// Exact sign of p at this point. p may mention variables 0..dim-1 only.
-  int SignAt(const Polynomial& p) const;
+  /// One interval evaluation on the current coordinate intervals decides
+  /// most calls; only when it straddles 0 does an exact step decide (the
+  /// gcd zero test for one algebraic coordinate, ValueAt for more).
+  /// `exact`, when non-null, is set to whether that exact step ran.
+  int SignAt(const Polynomial& p, bool* exact = nullptr) const;
+
+  /// Sign of p at this point when p is already known not to vanish there
+  /// (for example because the lifting proved it): refines the mentioned
+  /// coordinates until the interval enclosure of p has a certain sign.
+  /// Never runs an exact step; loops forever if p does vanish.
+  int NonzeroSignAt(const Polynomial& p) const;
 
   /// Exact value of p at this point as an algebraic number.
   AlgebraicNumber ValueAt(const Polynomial& p) const;
@@ -71,6 +81,14 @@ class AlgebraicPoint {
   StatusOr<Polynomial> EliminateCoords(Polynomial q, int extra_var,
                                        const ResourceGovernor* gov) const;
   Polynomial EliminateCoords(Polynomial q, int extra_var) const;
+  // Substitutes the rational coordinates into p. Sets *algebraic_var to a
+  // remaining algebraic coordinate p mentions (or -1) and returns how many
+  // such coordinates there are.
+  Polynomial SubstituteRational(const Polynomial& p, int* algebraic_var,
+                                int* algebraic_count) const;
+  // The current isolating intervals of the coordinates q mentions (other
+  // entries 0).
+  std::vector<Interval> Box(const Polynomial& q) const;
 
   std::vector<AlgebraicNumber> coords_;
 };

@@ -1,6 +1,7 @@
 #include "qe/cad.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/failpoint.h"
 #include "base/logging.h"
@@ -32,22 +33,32 @@ Rational RationalBetween(const AlgebraicNumber& a, const AlgebraicNumber& b) {
 }
 
 std::vector<AlgebraicNumber> MergeRoots(
-    std::vector<std::vector<AlgebraicNumber>> root_lists) {
-  std::vector<AlgebraicNumber> merged;
-  for (auto& list : root_lists) {
-    for (AlgebraicNumber& root : list) {
-      merged.push_back(std::move(root));
+    std::vector<std::vector<AlgebraicNumber>> root_lists,
+    std::vector<std::vector<int>>* owners) {
+  struct Owned {
+    AlgebraicNumber root;
+    int list;
+  };
+  std::vector<Owned> merged;
+  for (std::size_t j = 0; j < root_lists.size(); ++j) {
+    for (AlgebraicNumber& root : root_lists[j]) {
+      merged.push_back({std::move(root), static_cast<int>(j)});
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const AlgebraicNumber& x, const AlgebraicNumber& y) {
-              return x.Compare(y) < 0;
-            });
+  std::sort(merged.begin(), merged.end(), [](const Owned& x, const Owned& y) {
+    return x.root.Compare(y.root) < 0;
+  });
   std::vector<AlgebraicNumber> distinct;
-  for (AlgebraicNumber& root : merged) {
-    if (distinct.empty() || distinct.back().Compare(root) != 0) {
-      distinct.push_back(std::move(root));
+  owners->clear();
+  for (Owned& owned : merged) {
+    if (distinct.empty() || distinct.back().Compare(owned.root) != 0) {
+      distinct.push_back(std::move(owned.root));
+      owners->emplace_back();
     }
+    owners->back().push_back(owned.list);
+  }
+  for (std::vector<int>& lists : *owners) {
+    std::sort(lists.begin(), lists.end());
   }
   return distinct;
 }
@@ -72,6 +83,32 @@ std::vector<AlgebraicNumber> StackCoordinates(
 }
 
 namespace {
+
+// Appends the cells of one stack to `cells`: coordinate k of
+// StackCoordinates(roots) over `base`, with the vanishing record of
+// CadCell. `sections[r]` lists the factors with root r; `everywhere` the
+// factors that vanish identically over the stack (both ascending).
+void AppendStack(const AlgebraicPoint& base, const std::vector<int>& index,
+                 const std::vector<AlgebraicNumber>& roots,
+                 const std::vector<std::vector<int>>& sections,
+                 const std::vector<int>& everywhere,
+                 std::vector<CadCell>* cells) {
+  std::vector<AlgebraicNumber> coords = StackCoordinates(roots);
+  for (std::size_t k = 0; k < coords.size(); ++k) {
+    CadCell cell;
+    cell.index = index;
+    cell.index.push_back(static_cast<int>(k) + 1);
+    cell.sample = base.Extended(std::move(coords[k]));
+    if (k % 2 == 1) {
+      const std::vector<int>& at_root = sections[k / 2];
+      std::merge(at_root.begin(), at_root.end(), everywhere.begin(),
+                 everywhere.end(), std::back_inserter(cell.vanishing));
+    } else {
+      cell.vanishing = everywhere;
+    }
+    cells->push_back(std::move(cell));
+  }
+}
 
 // Collins-style projection of the factor set B (main variable `var`): all
 // nonconstant coefficients, discriminants, and pairwise resultants. The
@@ -213,14 +250,10 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
                             AlgebraicNumber::RootsOf(*u, gov));
       base_roots.push_back(std::move(roots));
     }
-    std::vector<AlgebraicNumber> sections = MergeRoots(std::move(base_roots));
-    std::vector<AlgebraicNumber> coords = StackCoordinates(sections);
-    for (std::size_t i = 0; i < coords.size(); ++i) {
-      CadCell cell;
-      cell.index.push_back(static_cast<int>(i) + 1);
-      cell.sample.Append(std::move(coords[i]));
-      cad.roots_.push_back(std::move(cell));
-    }
+    std::vector<std::vector<int>> owners;
+    std::vector<AlgebraicNumber> sections =
+        MergeRoots(std::move(base_roots), &owners);
+    AppendStack(AlgebraicPoint(), {}, sections, owners, {}, &cad.roots_);
   }
 
   // Lifting phase. Each stack construction charges one step; every created
@@ -230,33 +263,33 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
                                                   int level) -> Status {
     if (level >= num_vars) return Status::Ok();
     CCDB_CHECK_BUDGET(gov, "cad.lift");
-    std::vector<std::vector<AlgebraicNumber>> stack_roots;
-    for (const Polynomial& p : cad.factors_[level]) {
-      auto roots = cell.sample.StackRoots(p, gov);
+    const std::vector<Polynomial>& factors = cad.factors_[level];
+    std::vector<std::vector<AlgebraicNumber>> stack_roots(factors.size());
+    std::vector<int> everywhere;
+    for (std::size_t j = 0; j < factors.size(); ++j) {
+      auto roots = cell.sample.StackRoots(factors[j], gov);
       if (!roots.ok()) {
         if (roots.status().code() == StatusCode::kInvalidArgument) {
           // The factor vanishes identically over this stack: it
           // contributes no sections (its sign is 0 everywhere here).
+          everywhere.push_back(static_cast<int>(j));
           continue;
         }
         return roots.status();
       }
-      stack_roots.push_back(std::move(*roots));
+      stack_roots[j] = std::move(*roots);
     }
-    std::vector<AlgebraicNumber> merged = MergeRoots(std::move(stack_roots));
-    std::vector<AlgebraicNumber> stack_coords = StackCoordinates(merged);
-    for (std::size_t i = 0; i < stack_coords.size(); ++i) {
-      CadCell child;
-      child.index = cell.index;
-      child.index.push_back(static_cast<int>(i) + 1);
-      child.sample = cell.sample.Extended(std::move(stack_coords[i]));
-      if (gov != nullptr) {
-        gov->ChargeBytes(sizeof(CadCell) +
-                         child.index.size() * sizeof(int) +
+    std::vector<std::vector<int>> owners;
+    std::vector<AlgebraicNumber> merged =
+        MergeRoots(std::move(stack_roots), &owners);
+    AppendStack(cell.sample, cell.index, merged, owners, everywhere,
+                &cell.children);
+    if (gov != nullptr) {
+      for (const CadCell& child : cell.children) {
+        gov->ChargeBytes(sizeof(CadCell) + child.index.size() * sizeof(int) +
                          static_cast<std::size_t>(child.sample.dimension()) *
                              64);
       }
-      cell.children.push_back(std::move(child));
     }
     for (CadCell& child : cell.children) {
       CCDB_RETURN_IF_ERROR(lift(child, level + 1));

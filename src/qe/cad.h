@@ -23,6 +23,12 @@ namespace ccdb {
 struct CadCell {
   std::vector<int> index;
   AlgebraicPoint sample;
+  /// What the lifting proved about the factors of the cell's own level
+  /// (Cad::factors_at_level(dimension() - 1)): the ascending indices of
+  /// those that vanish at `sample`. A section lists the factors with a root
+  /// at its coordinate; every cell also lists the factors that vanish
+  /// identically over its stack. Every factor not listed is nonzero here.
+  std::vector<int> vanishing;
   std::vector<CadCell> children;
 
   int dimension() const { return static_cast<int>(index.size()); }
@@ -99,9 +105,12 @@ class Cad {
 Rational RationalBetween(const AlgebraicNumber& a, const AlgebraicNumber& b);
 
 /// Merges per-polynomial root lists into one increasing list of distinct
-/// algebraic numbers (exact comparison/deduplication).
+/// algebraic numbers (exact comparison/deduplication). (*owners)[k]
+/// receives the ascending indices j of the lists root_lists[j] that
+/// contain the k-th distinct root.
 std::vector<AlgebraicNumber> MergeRoots(
-    std::vector<std::vector<AlgebraicNumber>> root_lists);
+    std::vector<std::vector<AlgebraicNumber>> root_lists,
+    std::vector<std::vector<int>>* owners);
 
 /// Builds the stack sample coordinates over a (possibly empty) base sample:
 /// given the increasing distinct section roots, returns the 2k+1 stack

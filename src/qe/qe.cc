@@ -182,6 +182,55 @@ struct CadEvalResult {
   bool sentence_truth = false;  // when num_free_vars == 0
 };
 
+// For each polynomial, its index among `factors` (the factors of one CAD
+// level), or -1 when it is none of them.
+std::vector<int> FactorIndices(const std::vector<Polynomial>& polys,
+                               const std::vector<Polynomial>& factors) {
+  std::vector<int> indices(polys.size(), -1);
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    for (std::size_t j = 0; j < factors.size(); ++j) {
+      if (polys[i] == factors[j]) {
+        indices[i] = static_cast<int>(j);
+        break;
+      }
+    }
+  }
+  return indices;
+}
+
+// How the sign queries of one free-space cell's subtree were decided:
+// `filtered` by an interval enclosure or the lifting record, `exact` by
+// an exact zero test. Folded into the metrics registry once per cell.
+struct SignTally {
+  std::uint64_t filtered = 0;
+  std::uint64_t exact = 0;
+
+  ~SignTally() {
+    CCDB_METRIC_COUNT("cad.sign.filtered", filtered);
+    CCDB_METRIC_COUNT("cad.sign.exact", exact);
+  }
+};
+
+// Sign of `p` at `cell`'s sample. `factor` is p's index among the factors
+// of the cell's own level, or -1. For such a factor the lifting already
+// decided whether it vanishes (CadCell::vanishing), so only the sign of a
+// known nonzero value is left to refine.
+int CellSign(const CadCell& cell, const Polynomial& p, int factor,
+             SignTally* tally) {
+  if (factor >= 0) {
+    ++tally->filtered;
+    if (std::binary_search(cell.vanishing.begin(), cell.vanishing.end(),
+                           factor)) {
+      return 0;
+    }
+    return cell.sample.NonzeroSignAt(p);
+  }
+  bool exact = false;
+  int sign = cell.sample.SignAt(p, &exact);
+  ++(exact ? tally->exact : tally->filtered);
+  return sign;
+}
+
 // Evaluates the quantifier prefix over a built CAD. prefix[i] quantifies
 // variable num_free + i. Free-space cells are evaluated across `pool`:
 // each cell's subtree is disjoint (sample coordinates are owned per cell,
@@ -193,15 +242,20 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
                                     const std::vector<GeneralizedTuple>& matrix,
                                     const std::vector<Polynomial>& matrix_polys,
                                     ThreadPool* pool) {
+  CCDB_TRACE_SPAN("cad.eval");
   int n = cad.num_vars();
+  const std::vector<int> matrix_factor =
+      FactorIndices(matrix_polys, cad.factors_at_level(n - 1));
   // Recursive truth of a cell.
-  std::function<bool(const CadCell&)> truth = [&](const CadCell& cell) -> bool {
+  std::function<bool(const CadCell&, SignTally*)> truth =
+      [&](const CadCell& cell, SignTally* tally) -> bool {
     int dim = cell.dimension();
     if (dim == n) {
       std::vector<int> signs;
       signs.reserve(matrix_polys.size());
-      for (const Polynomial& p : matrix_polys) {
-        signs.push_back(cell.sample.SignAt(p));
+      for (std::size_t i = 0; i < matrix_polys.size(); ++i) {
+        signs.push_back(
+            CellSign(cell, matrix_polys[i], matrix_factor[i], tally));
       }
       return MatrixTruth(matrix, matrix_polys, signs);
     }
@@ -210,12 +264,12 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
     const PrenexBlock& block = prefix[dim - num_free];
     if (block.is_exists) {
       for (const CadCell& child : cell.children) {
-        if (truth(child)) return true;
+        if (truth(child, tally)) return true;
       }
       return false;
     }
     for (const CadCell& child : cell.children) {
-      if (!truth(child)) return false;
+      if (!truth(child, tally)) return false;
     }
     return true;
   };
@@ -224,10 +278,11 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
   if (num_free == 0) {
     // Sentence: combine the base stack with the first quantifier.
     CCDB_CHECK(!prefix.empty());
+    SignTally tally;
     if (prefix[0].is_exists) {
       result.sentence_truth = false;
       for (const CadCell& cell : cad.roots()) {
-        if (truth(cell)) {
+        if (truth(cell, &tally)) {
           result.sentence_truth = true;
           break;
         }
@@ -235,7 +290,7 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
     } else {
       result.sentence_truth = true;
       for (const CadCell& cell : cad.roots()) {
-        if (!truth(cell)) {
+        if (!truth(cell, &tally)) {
           result.sentence_truth = false;
           break;
         }
@@ -245,6 +300,8 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
   }
 
   std::vector<Polynomial> free_factors = cad.FactorsBelow(num_free);
+  const std::vector<int> free_factor =
+      FactorIndices(free_factors, cad.factors_at_level(num_free - 1));
   std::vector<const CadCell*> free_cells;
   cad.ForEachCellAtDimension(
       num_free, [&free_cells](const CadCell& cell) { free_cells.push_back(&cell); });
@@ -257,12 +314,14 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
       ThreadPool::Resolve(pool)->ParallelMap<CellVerdict>(
           free_cells.size(), [&](std::size_t i) -> StatusOr<CellVerdict> {
             const CadCell& cell = *free_cells[i];
+            SignTally tally;
             CellVerdict verdict;
             verdict.vector.reserve(free_factors.size());
-            for (const Polynomial& p : free_factors) {
-              verdict.vector.push_back(cell.sample.SignAt(p));
+            for (std::size_t k = 0; k < free_factors.size(); ++k) {
+              verdict.vector.push_back(
+                  CellSign(cell, free_factors[k], free_factor[k], &tally));
             }
-            verdict.truth = truth(cell);
+            verdict.truth = truth(cell, &tally);
             return verdict;
           }));
   for (CellVerdict& verdict : verdicts) {

@@ -218,6 +218,51 @@ TEST(InternConcurrencyTest, ConcurrentConstructionInternsUniquely) {
   }
 }
 
+// The polynomial pool and the formula arena must track the live set, not
+// everything ever interned: after 50k distinct atoms and formulas are
+// built and dropped, both are back near where they started (each shard
+// may hold unswept dead entries up to its next sweep threshold).
+TEST(InternBoundTest, PoolAndArenaReturnNearTheLiveSet) {
+  constexpr std::size_t kSlack = 4096;
+  const std::size_t pool_before = GetPolyInternStats().entries;
+  const std::size_t slots_before = GetFormulaArenaStats().retained_slots;
+  const Polynomial xy = Polynomial::Var(0) * Polynomial::Var(1);
+  for (int i = 0; i < 50000; ++i) {
+    Polynomial p = xy + Polynomial(1000003 + i);
+    Formula f = Formula::Or(Formula::MakeAtom(Atom(p, RelOp::kLe)),
+                            Formula::MakeAtom(Atom(p + xy, RelOp::kGt)));
+    ASSERT_EQ(f.kind(), Formula::Kind::kOr);
+  }
+  EXPECT_LT(GetPolyInternStats().entries, pool_before + kSlack);
+  const FormulaArenaStats arena = GetFormulaArenaStats();
+  EXPECT_LT(arena.retained_slots, slots_before + kSlack);
+  EXPECT_GE(arena.retained_slots, arena.live_nodes);
+}
+
+TEST(InternBoundTest, SweepsKeepLiveCanonicalInstancesUnderChurn) {
+  // Threads churn through distinct atoms (triggering sweeps in every
+  // shard) while re-building one shared formula that stays alive: the
+  // sweep must never drop its canonical node, so every rebuild hits it.
+  const Polynomial x = Polynomial::Var(0);
+  const Formula shared = Formula::MakeAtom(Atom(x * x - Polynomial(5), RelOp::kLt));
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &x, &shared, &mismatches] {
+      for (int i = 0; i < 4000; ++i) {
+        Formula churn = Formula::MakeAtom(
+            Atom(x + Polynomial(7000000 + t * 10000 + i), RelOp::kGe));
+        Formula again =
+            Formula::MakeAtom(Atom(x * x - Polynomial(5), RelOp::kLt));
+        if (again.id() != shared.id()) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
 TEST(NegatedOpNormalizationTest, NegatedLtIsGe) {
   // Regression: ¬(p < 0) must be the SAME interned atom as p >= 0 — the
   // two spellings used to normalize differently.
