@@ -15,7 +15,7 @@
 ///
 /// Use the macros for instrumentation sites:
 ///
-///   CCDB_METRIC_COUNT("qe.cad.cells", cell_count);
+///   CCDB_METRIC_COUNT("cad.cells", cell_count);
 ///   CCDB_METRIC_MAX("qe.max_intermediate_bits", bits);
 ///   CCDB_METRIC_HISTOGRAM("qe.eliminate.us", micros);
 ///

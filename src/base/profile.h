@@ -3,7 +3,7 @@
 
 /// Per-query profiling primitives (Observability v2, DESIGN.md §12).
 ///
-/// Two layers share this header:
+/// Three pieces share this header:
 ///
 ///   * ProfileNode / ProfileSink — the attribution tree EXPLAIN ANALYZE
 ///     builds while a query executes. The executor mirrors the plan tree
@@ -13,6 +13,9 @@
 ///     length, cache hits). Nodes are assembled in canonical plan order —
 ///     never completion order — so the tree SHAPE is deterministic at
 ///     every thread count; only the timings vary.
+///
+///   * Stage — the scoped primitive that opens a stage's trace span and
+///     times its ProfileNode, so the two cover the same work.
 ///
 ///   * SpanProfile — a flamegraph-style fold of the trace buffer
 ///     (base/trace.h): per-thread span nesting is reconstructed from the
@@ -25,6 +28,7 @@
 /// thread setting. Profiling code therefore only reads clocks and
 /// counters; it never branches the algorithm.
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -74,6 +78,36 @@ struct ProfileNode {
   /// {"label":...,"inclusive_us":...,"exclusive_us":...,
   ///  "counters":{...},"children":[...]}
   std::string ToJson() const;
+};
+
+/// One timed stage of a query: for its scope, opens the trace span `span`
+/// (a string literal, or null for none) and, only when `node` is non-null,
+/// times `node`. The time is written to node->inclusive_us when the Stage
+/// closes, so the node must outlive it and be read only after it — a node
+/// returned by value from the Stage's own scope is copied before the
+/// write, so open the Stage in a narrower scope. Unarmed (null node,
+/// tracing off) a Stage reads no clock.
+class Stage {
+ public:
+  Stage(const char* span, ProfileNode* node) : span_(span), node_(node) {
+    if (node_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  ~Stage() {
+    if (node_ != nullptr) {
+      node_->inclusive_us =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start_)
+              .count();
+    }
+  }
+
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+ private:
+  TraceSpan span_;
+  ProfileNode* node_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Thread-safe collection point for completed top-level QE profile trees.

@@ -96,11 +96,12 @@ class Tracer {
 
 /// RAII span: records a complete event from construction to destruction.
 /// Near-zero cost when tracing is disabled (one relaxed load, no clock
-/// read). `name` and `category` must have static storage duration.
+/// read). `name` and `category` must have static storage duration; a null
+/// `name` records nothing.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "ccdb")
-      : active_(Tracer::Global().enabled()) {
+      : active_(name != nullptr && Tracer::Global().enabled()) {
     if (active_) {
       name_ = name;
       category_ = category;

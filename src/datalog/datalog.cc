@@ -1,7 +1,6 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <mutex>
 #include <sstream>
@@ -183,20 +182,6 @@ StatusOr<bool> TupleInTuple(const GeneralizedTuple& t,
   return !has_witness;
 }
 
-// Profiling attribution (base/profile.h): the same counter set qe.cc's
-// nodes carry, zero values and already-present names skipped.
-void AddQeCounters(ProfileNode* node, const QeStats& stats) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0 || node->HasCounter(name)) return;
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", stats.cad_cells);
-  add("projection_factors", stats.projection_factors);
-  add("fm_rounds", stats.fm_rounds);
-  add("max_bits", stats.max_intermediate_bits);
-  add("qe_cache_hits", stats.cache_hits);
-}
-
 bool SameTuple(const GeneralizedTuple& a, const GeneralizedTuple& b) {
   if (a.atoms.size() != b.atoms.size()) return false;
   for (std::size_t i = 0; i < a.atoms.size(); ++i) {
@@ -346,193 +331,197 @@ Status RunFixpoint(const DatalogProgram& program,
   };
 
   for (int round = 0; round < options.max_iterations; ++round) {
-    CCDB_TRACE_SPAN("datalog.iteration");
-    CCDB_FAILPOINT("datalog.iteration");
-    CCDB_CHECK_BUDGET(gov, "datalog.iteration");
-    ++s->iterations;
-    CCDB_METRIC_COUNT("datalog.iterations", 1);
-    bool grew = false;
+    // The round's node goes to the sink once its Stage has closed, so the
+    // node's time and the datalog.iteration span cover the same work.
+    ProfileNode round_node;
+    bool fixpoint = false;
+    {
+      Stage stage("datalog.iteration",
+                  profile != nullptr ? &round_node : nullptr);
+      CCDB_FAILPOINT("datalog.iteration");
+      CCDB_CHECK_BUDGET(gov, "datalog.iteration");
+      ++s->iterations;
+      CCDB_METRIC_COUNT("datalog.iterations", 1);
+      bool grew = false;
 
-    // Round 0 of a cold run evaluates every rule in full (there is no
-    // previous round to difference against); every later round — and every
-    // round of a resume — differences against the previous round's deltas.
-    const bool delta_round = seminaive && (resumed || round > 0);
-    std::uint64_t round_delta_tuples = 0;
-    std::vector<RuleMode> modes(program.rules.size(), RuleMode::kFull);
-    if (delta_round) {
-      for (const auto& [name, start] : delta_start) {
-        (void)start;
-        round_delta_tuples += delta_size(name);
-      }
-      s->delta_tuples += round_delta_tuples;
-      for (std::size_t i = 0; i < program.rules.size(); ++i) {
-        bool any_changed = false;
-        bool negated_changed = false;
-        for (const DatalogLiteral& lit : program.rules[i].body) {
-          if (!lit.is_relation || delta_size(lit.relation) == 0) continue;
-          any_changed = true;
-          if (lit.negated) negated_changed = true;
+      // Round 0 of a cold run evaluates every rule in full (there is no
+      // previous round to difference against); every later round — and every
+      // round of a resume — differences against the previous round's deltas.
+      const bool delta_round = seminaive && (resumed || round > 0);
+      std::uint64_t round_delta_tuples = 0;
+      std::vector<RuleMode> modes(program.rules.size(), RuleMode::kFull);
+      if (delta_round) {
+        for (const auto& [name, start] : delta_start) {
+          (void)start;
+          round_delta_tuples += delta_size(name);
         }
-        // A body none of whose relations changed re-derives exactly what it
-        // derived the round it last ran; every candidate would be dropped
-        // by the (drop-stable) containment pass, so skip the QE outright.
-        // A changed relation under negation breaks the delta rewrite's
-        // "all-old combinations already ran" premise — full body instead.
-        modes[i] = !any_changed      ? RuleMode::kSkip
-                   : negated_changed ? RuleMode::kFull
-                                     : RuleMode::kDelta;
+        s->delta_tuples += round_delta_tuples;
+        for (std::size_t i = 0; i < program.rules.size(); ++i) {
+          bool any_changed = false;
+          bool negated_changed = false;
+          for (const DatalogLiteral& lit : program.rules[i].body) {
+            if (!lit.is_relation || delta_size(lit.relation) == 0) continue;
+            any_changed = true;
+            if (lit.negated) negated_changed = true;
+          }
+          // A body none of whose relations changed re-derives exactly what it
+          // derived the round it last ran; every candidate would be dropped
+          // by the (drop-stable) containment pass, so skip the QE outright.
+          // A changed relation under negation breaks the delta rewrite's
+          // "all-old combinations already ran" premise — full body instead.
+          modes[i] = !any_changed      ? RuleMode::kSkip
+                     : negated_changed ? RuleMode::kFull
+                                       : RuleMode::kDelta;
+        }
       }
-    }
 
-    // Evaluate all rules against the CURRENT interpretation (simultaneous
-    // inflationary step), then merge. Rule bodies are independent QE
-    // problems over a frozen interpretation, so they evaluate across the
-    // pool into index-addressed slots; the merge below walks the slots in
-    // rule order, which keeps derived-tuple order, stats accumulation, and
-    // the Z_k precision verdict identical at every thread count.
-    struct RuleSlot {
-      ConstraintRelation rel;
-      QeStats qe_stats;
-      std::int64_t us = 0;
-      bool skipped = false;
-    };
-    const auto round_start = std::chrono::steady_clock::now();
-    auto changed = [&](const std::string& name) { return delta_size(name) > 0; };
-    CCDB_ASSIGN_OR_RETURN(
-        std::vector<RuleSlot> rule_slots,
-        ThreadPool::Resolve(options.qe.pool)->ParallelMap<RuleSlot>(
-            program.rules.size(),
-            [&](std::size_t i) -> StatusOr<RuleSlot> {
-              const DatalogRule& rule = program.rules[i];
-              RuleSlot slot;
-              if (modes[i] == RuleMode::kSkip) {
-                slot.skipped = true;
-                slot.rel = ConstraintRelation(
-                    static_cast<int>(rule.head_vars.size()));
-                return slot;
-              }
-              Formula body = Formula::False();
-              if (modes[i] == RuleMode::kDelta) {
-                CCDB_ASSIGN_OR_RETURN(body, RuleToDeltaFormula(rule, changed));
-              } else {
-                CCDB_ASSIGN_OR_RETURN(body, RuleToFormula(rule));
-              }
-              CCDB_ASSIGN_OR_RETURN(Formula instantiated,
-                                    body.InstantiateRelations(lookup));
-              if (use_body_cache) {
-                std::lock_guard<std::mutex> lock(body_cache_mu);
-                auto it = body_cache.find(instantiated.id());
-                if (it != body_cache.end()) {
-                  CCDB_METRIC_COUNT("datalog_body_cache_hits", 1);
-                  slot.rel = it->second.rel;
-                  slot.qe_stats = it->second.qe_stats;
+      // Evaluate all rules against the CURRENT interpretation (simultaneous
+      // inflationary step), then merge. Rule bodies are independent QE
+      // problems over a frozen interpretation, so they evaluate across the
+      // pool into index-addressed slots; the merge below walks the slots in
+      // rule order, which keeps derived-tuple order, stats accumulation, and
+      // the Z_k precision verdict identical at every thread count.
+      struct RuleSlot {
+        ConstraintRelation rel;
+        QeStats qe_stats;
+        ProfileNode profile;
+        bool skipped = false;
+      };
+      auto changed = [&](const std::string& name) {
+        return delta_size(name) > 0;
+      };
+      CCDB_ASSIGN_OR_RETURN(
+          std::vector<RuleSlot> rule_slots,
+          ThreadPool::Resolve(options.qe.pool)->ParallelMap<RuleSlot>(
+              program.rules.size(),
+              [&](std::size_t i) -> StatusOr<RuleSlot> {
+                const DatalogRule& rule = program.rules[i];
+                RuleSlot slot;
+                if (modes[i] == RuleMode::kSkip) {
+                  slot.skipped = true;
+                  slot.rel = ConstraintRelation(
+                      static_cast<int>(rule.head_vars.size()));
                   return slot;
                 }
-              }
-              const auto rule_start = std::chrono::steady_clock::now();
-              CCDB_ASSIGN_OR_RETURN(
-                  slot.rel,
-                  EliminateQuantifiers(instantiated,
-                                       static_cast<int>(rule.head_vars.size()),
-                                       rule_qe, &slot.qe_stats));
-              slot.us = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - rule_start)
-                            .count();
-              if (use_body_cache) {
-                CCDB_METRIC_COUNT("datalog_body_cache_misses", 1);
-                std::lock_guard<std::mutex> lock(body_cache_mu);
-                body_cache.emplace(
-                    instantiated.id(),
-                    BodyMemo{instantiated, slot.rel, slot.qe_stats});
-              }
-              return slot;
-            }));
-    if (profile != nullptr) {
-      ProfileNode round_node;
-      round_node.label = "datalog.round[" + std::to_string(round) + "]";
-      round_node.inclusive_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - round_start)
-              .count();
-      round_node.AddCounter("rules", program.rules.size());
-      if (delta_round) {
-        round_node.AddCounter("delta_tuples", round_delta_tuples);
-      }
-      for (std::size_t i = 0; i < program.rules.size(); ++i) {
-        // Children in rule order — deterministic shape at every thread
-        // count regardless of which deltas fired; a rule whose delta join
-        // was empty still gets its child, with zeroed counters.
-        ProfileNode child;
-        child.label = "rule[" + std::to_string(i) + "] " +
-                      program.rules[i].head;
-        child.inclusive_us = rule_slots[i].us;
-        AddQeCounters(&child, rule_slots[i].qe_stats);
-        child.AddCounter("tuples_out", rule_slots[i].rel.tuples().size());
-        round_node.children.push_back(std::move(child));
-      }
-      profile->Add(std::move(round_node));
-    }
-
-    // Deltas for the NEXT round: everything this round's merge appends
-    // beyond the sizes recorded here.
-    std::map<std::string, std::size_t> next_delta_start;
-    for (const auto& [name, rel] : *idb) {
-      next_delta_start[name] = rel.tuples().size();
-    }
-
-    std::map<std::string, std::vector<GeneralizedTuple>> derived;
-    for (std::size_t i = 0; i < program.rules.size(); ++i) {
-      const DatalogRule& rule = program.rules[i];
-      RuleSlot& slot = rule_slots[i];
-      if (slot.skipped) {
-        ++s->rules_skipped;
-        continue;
-      }
-      ++s->qe_calls;
-      s->max_bits = std::max(s->max_bits, slot.qe_stats.max_intermediate_bits);
-      if (options.precision_k != 0 && s->max_bits > options.precision_k) {
-        return Status::Undefined(
-            "Datalog^F_QE: iteration needs integers of bit length " +
-            std::to_string(s->max_bits) + " > k = " +
-            std::to_string(options.precision_k));
-      }
-      auto& bucket = derived[rule.head];
-      for (GeneralizedTuple& tuple : *slot.rel.mutable_tuples()) {
-        bucket.push_back(std::move(tuple));
-      }
-    }
-    for (auto& [name, tuples] : derived) {
-      // Canonical index-order merge: the per-round candidate batch is
-      // sorted structurally and deduplicated before the containment pass.
-      // The semi-naive batch is the naive batch minus candidates that are
-      // already present (their all-old derivations ran in an earlier
-      // round), so after the sort both paths walk the surviving candidates
-      // in the same order and append the same tuples — the anchor of the
-      // CCDB_SEMINAIVE byte-identity contract, at every thread count.
-      std::sort(tuples.begin(), tuples.end());
-      tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
-      ConstraintRelation& current = idb->at(name);
-      for (GeneralizedTuple& tuple : tuples) {
-        CCDB_CHECK_BUDGET(gov, "datalog.iteration");
-        CCDB_ASSIGN_OR_RETURN(
-            bool contained,
-            TupleContained(tuple, current, rule_qe, &s->qe_calls));
-        if (contained) continue;
-        if (gov != nullptr) {
-          std::size_t bytes = 0;
-          for (const Atom& atom : tuple.atoms) {
-            bytes += atom.poly.EstimateBytes();
-          }
-          gov->ChargeBytes(bytes);
+                Formula body = Formula::False();
+                if (modes[i] == RuleMode::kDelta) {
+                  CCDB_ASSIGN_OR_RETURN(body,
+                                        RuleToDeltaFormula(rule, changed));
+                } else {
+                  CCDB_ASSIGN_OR_RETURN(body, RuleToFormula(rule));
+                }
+                CCDB_ASSIGN_OR_RETURN(Formula instantiated,
+                                      body.InstantiateRelations(lookup));
+                if (use_body_cache) {
+                  std::lock_guard<std::mutex> lock(body_cache_mu);
+                  auto it = body_cache.find(instantiated.id());
+                  if (it != body_cache.end()) {
+                    CCDB_METRIC_COUNT("datalog_body_cache_hits", 1);
+                    slot.rel = it->second.rel;
+                    slot.qe_stats = it->second.qe_stats;
+                    return slot;
+                  }
+                }
+                {
+                  Stage stage(nullptr,
+                              profile != nullptr ? &slot.profile : nullptr);
+                  CCDB_ASSIGN_OR_RETURN(
+                      slot.rel, EliminateQuantifiers(
+                                    instantiated,
+                                    static_cast<int>(rule.head_vars.size()),
+                                    rule_qe, &slot.qe_stats));
+                }
+                if (use_body_cache) {
+                  CCDB_METRIC_COUNT("datalog_body_cache_misses", 1);
+                  std::lock_guard<std::mutex> lock(body_cache_mu);
+                  body_cache.emplace(
+                      instantiated.id(),
+                      BodyMemo{instantiated, slot.rel, slot.qe_stats});
+                }
+                return slot;
+              }));
+      if (profile != nullptr) {
+        round_node.label = "datalog.round[" + std::to_string(round) + "]";
+        round_node.AddCounter("rules", program.rules.size());
+        if (delta_round) {
+          round_node.AddCounter("delta_tuples", round_delta_tuples);
         }
-        current.AddTuple(std::move(tuple));
-        grew = true;
+        for (std::size_t i = 0; i < program.rules.size(); ++i) {
+          // Children in rule order — deterministic shape at every thread
+          // count regardless of which deltas fired; a rule whose delta join
+          // was empty still gets its child, with zeroed counters.
+          RuleSlot& slot = rule_slots[i];
+          slot.profile.label =
+              "rule[" + std::to_string(i) + "] " + program.rules[i].head;
+          slot.qe_stats.AddCountersTo(&slot.profile, slot.rel.tuples().size());
+          round_node.children.push_back(std::move(slot.profile));
+        }
       }
-      *current.mutable_tuples() =
-          SimplifyTuples(std::move(*current.mutable_tuples()));
+
+      // Deltas for the NEXT round: everything this round's merge appends
+      // beyond the sizes recorded here.
+      std::map<std::string, std::size_t> next_delta_start;
+      for (const auto& [name, rel] : *idb) {
+        next_delta_start[name] = rel.tuples().size();
+      }
+
+      std::map<std::string, std::vector<GeneralizedTuple>> derived;
+      for (std::size_t i = 0; i < program.rules.size(); ++i) {
+        const DatalogRule& rule = program.rules[i];
+        RuleSlot& slot = rule_slots[i];
+        if (slot.skipped) {
+          ++s->rules_skipped;
+          continue;
+        }
+        ++s->qe_calls;
+        s->max_bits =
+            std::max(s->max_bits, slot.qe_stats.max_intermediate_bits);
+        if (options.precision_k != 0 && s->max_bits > options.precision_k) {
+          return Status::Undefined(
+              "Datalog^F_QE: iteration needs integers of bit length " +
+              std::to_string(s->max_bits) + " > k = " +
+              std::to_string(options.precision_k));
+        }
+        auto& bucket = derived[rule.head];
+        for (GeneralizedTuple& tuple : *slot.rel.mutable_tuples()) {
+          bucket.push_back(std::move(tuple));
+        }
+      }
+      for (auto& [name, tuples] : derived) {
+        // Canonical index-order merge: the per-round candidate batch is
+        // sorted structurally and deduplicated before the containment pass.
+        // The semi-naive batch is the naive batch minus candidates that are
+        // already present (their all-old derivations ran in an earlier
+        // round), so after the sort both paths walk the surviving candidates
+        // in the same order and append the same tuples — the anchor of the
+        // CCDB_SEMINAIVE byte-identity contract, at every thread count.
+        std::sort(tuples.begin(), tuples.end());
+        tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+        ConstraintRelation& current = idb->at(name);
+        for (GeneralizedTuple& tuple : tuples) {
+          CCDB_CHECK_BUDGET(gov, "datalog.iteration");
+          CCDB_ASSIGN_OR_RETURN(
+              bool contained,
+              TupleContained(tuple, current, rule_qe, &s->qe_calls));
+          if (contained) continue;
+          if (gov != nullptr) {
+            std::size_t bytes = 0;
+            for (const Atom& atom : tuple.atoms) {
+              bytes += atom.poly.EstimateBytes();
+            }
+            gov->ChargeBytes(bytes);
+          }
+          current.AddTuple(std::move(tuple));
+          grew = true;
+        }
+        *current.mutable_tuples() =
+            SimplifyTuples(std::move(*current.mutable_tuples()));
+      }
+      delta_start = std::move(next_delta_start);
+      fixpoint = !grew;
     }
-    delta_start = std::move(next_delta_start);
-    if (!grew) {
+    if (profile != nullptr) profile->Add(std::move(round_node));
+    if (fixpoint) {
       s->reached_fixpoint = true;
       s->plan_cache_hits = plan_hits_counter->value() - plan_hits_before;
       CCDB_METRIC_COUNT("datalog.fixpoints", 1);

@@ -123,97 +123,159 @@ std::uint64_t Delta(const std::map<std::string, std::uint64_t>& deltas,
   return it == deltas.end() ? 0 : it->second;
 }
 
-// Builds and appends one structured query-log record (base/query_log.h).
-// Call only when the log is enabled; observation only — never affects the
-// result being logged.
-void AppendQueryLogRecord(
-    QueryLog& log, std::uint64_t session_id,
-    const std::string& config_fingerprint, const char* kind,
-    const std::string& text, std::uint64_t catalog_version,
-    const StatusOr<CalcFResult>& result, bool cache_hit,
-    const QueryVerdict* verdict, double elapsed_seconds,
-    const std::map<std::string, std::uint64_t>& deltas,
-    const std::vector<std::pair<std::string, std::uint64_t>>* read_set,
-    const std::string& profile_json = "") {
-  std::uint64_t ts_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-  JsonObjectBuilder record;
-  record.Add("schema_version",
-             static_cast<std::uint64_t>(QueryLog::kSchemaVersion))
-      .Add("ts_us", ts_us)
-      .Add("session_id", session_id)
-      .Add("config", config_fingerprint)
-      .Add("kind", std::string(kind))
-      .Add("text_hash", QueryLog::HashText(text))
-      .Add("text_len", static_cast<std::uint64_t>(text.size()))
-      .Add("catalog_version", catalog_version)
-      .Add("ok", result.ok())
-      .Add("cache_hit", cache_hit)
-      .Add("elapsed_seconds", elapsed_seconds);
-  // Invalidation scope: with a known read-set, only a mutation of one of
-  // the listed relations can invalidate this query's cached answer
-  // ("relations:[...]"); without one (unparsable text), any mutation must
-  // be assumed to ("global").
-  if (read_set != nullptr) {
-    std::string names = "[";
-    std::string scope = "relations:[";
-    for (std::size_t i = 0; i < read_set->size(); ++i) {
-      const std::string& name = (*read_set)[i].first;
-      if (i > 0) {
-        names += ',';
-        scope += ',';
+// Observes one facade query from outside: the wall time and the registry
+// movement since it opened, and its structured query-log record
+// (base/query_log.h). The registry is snapshotted only when the log is
+// enabled or `watch` asks for the deltas. Observation only — never
+// affects the result being observed.
+class QueryObserver {
+ public:
+  QueryObserver(QueryLog& log, std::uint64_t session_id,
+                const std::string& config_fingerprint, PlanToggle memo,
+                bool watch = false)
+      : log_(log),
+        logging_(log.enabled()),
+        session_id_(session_id),
+        config_fingerprint_(config_fingerprint),
+        memo_(memo) {
+    if (logging_ || watch) before_ = MetricsRegistry::Global().SnapshotValues();
+  }
+
+  double Seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+  std::map<std::string, std::uint64_t> Deltas() const {
+    return MetricDeltas(before_, MetricsRegistry::Global().SnapshotValues());
+  }
+
+  // Appends the query's record when the log is enabled: the read-set of
+  // `text` at `snapshot`, the elapsed time and registry movement so far,
+  // and the `profile` of an EXPLAIN ANALYZE.
+  void Log(const char* kind, const std::string& text,
+           const Catalog::View& snapshot, const StatusOr<CalcFResult>& result,
+           bool cache_hit, const QueryVerdict* verdict,
+           const QueryProfile* profile = nullptr) const {
+    if (!logging_) return;
+    const double elapsed_seconds = Seconds();
+    const std::map<std::string, std::uint64_t> deltas = Deltas();
+    std::uint64_t ts_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
+    JsonObjectBuilder record;
+    record.Add("schema_version",
+               static_cast<std::uint64_t>(QueryLog::kSchemaVersion))
+        .Add("ts_us", ts_us)
+        .Add("session_id", session_id_)
+        .Add("config", config_fingerprint_)
+        .Add("kind", std::string(kind))
+        .Add("text_hash", QueryLog::HashText(text))
+        .Add("text_len", static_cast<std::uint64_t>(text.size()))
+        .Add("catalog_version", snapshot.version())
+        .Add("ok", result.ok())
+        .Add("cache_hit", cache_hit)
+        .Add("elapsed_seconds", elapsed_seconds);
+    // Invalidation scope: with a known read-set (the text parses), only a
+    // mutation of one of the listed relations can invalidate this query's
+    // cached answer ("relations:[...]"); without one, any mutation must be
+    // assumed to ("global").
+    if (StatusOr<std::vector<std::string>> names = RelationsReadBy(text, memo_);
+        names.ok()) {
+      std::vector<std::pair<std::string, std::uint64_t>> read_set =
+          ResolveReadSet(*names, snapshot);
+      std::string listed = "[";
+      std::string scope = "relations:[";
+      for (std::size_t i = 0; i < read_set.size(); ++i) {
+        const std::string& name = read_set[i].first;
+        if (i > 0) {
+          listed += ',';
+          scope += ',';
+        }
+        listed += '"' + JsonObjectBuilder::Escape(name) + '"';
+        scope += name;
       }
-      names += '"' + JsonObjectBuilder::Escape(name) + '"';
-      scope += name;
+      listed += ']';
+      scope += ']';
+      record.AddRaw("read_set", listed).Add("invalidation", scope);
+    } else {
+      record.AddRaw("read_set", "[]")
+          .Add("invalidation", std::string("global"));
     }
-    names += ']';
-    scope += ']';
-    record.AddRaw("read_set", names).Add("invalidation", scope);
-  } else {
-    record.AddRaw("read_set", "[]").Add("invalidation", std::string("global"));
-  }
-  if (result.ok()) {
-    const CalcFResult& r = *result;
-    record.Add("tuples", static_cast<std::uint64_t>(r.relation.tuples().size()))
-        .Add("arity", static_cast<std::uint64_t>(r.relation.arity()))
-        .Add("has_scalar", r.has_scalar)
-        .Add("plan", r.stats.plan)
-        .AddRaw("stats", r.stats.ToJson());
-  } else {
-    record.Add("error_code",
+    if (result.ok()) {
+      const CalcFResult& r = *result;
+      record
+          .Add("tuples", static_cast<std::uint64_t>(r.relation.tuples().size()))
+          .Add("arity", static_cast<std::uint64_t>(r.relation.arity()))
+          .Add("has_scalar", r.has_scalar)
+          .Add("plan", r.stats.plan)
+          .AddRaw("stats", r.stats.ToJson());
+    } else {
+      record
+          .Add("error_code",
                std::string(StatusCodeToString(result.status().code())))
-        .Add("error", result.status().message());
+          .Add("error", result.status().message());
+    }
+    if (verdict != nullptr) {
+      record.AddRaw("verdict",
+                    JsonObjectBuilder()
+                        .Add("ok", verdict->ok)
+                        .Add("rung", verdict->rung)
+                        .Add("attempts", static_cast<std::int64_t>(
+                                             verdict->attempts))
+                        .Add("exhausted_rungs",
+                             static_cast<std::uint64_t>(
+                                 verdict->exhausted_rungs.size()))
+                        .Add("steps_consumed", verdict->steps_consumed)
+                        .Add("bytes_consumed", verdict->bytes_consumed)
+                        .Add("elapsed_seconds", verdict->elapsed_seconds)
+                        .Build());
+    }
+    // Cache temperature this query ran at: hit/miss deltas of the memo
+    // layers (whole-query, QE result, plan, resultant).
+    record.AddRaw(
+        "caches",
+        JsonObjectBuilder()
+            .Add("query_cache_hits", Delta(deltas, "query_cache_hits"))
+            .Add("qe_cache_hits", Delta(deltas, "qe_cache_hits"))
+            .Add("qe_cache_misses", Delta(deltas, "qe_cache_misses"))
+            .Add("plan_cache_hits", Delta(deltas, "plan_cache_hits"))
+            .Add("resultant_cache_hits",
+                 Delta(deltas, "resultant_cache_hits"))
+            .Build());
+    if (profile != nullptr) record.AddRaw("profile", profile->ToJson());
+    log_.Append(record.Build());
   }
-  if (verdict != nullptr) {
-    record.AddRaw("verdict",
-                  JsonObjectBuilder()
-                      .Add("ok", verdict->ok)
-                      .Add("rung", verdict->rung)
-                      .Add("attempts", static_cast<std::int64_t>(
-                                           verdict->attempts))
-                      .Add("exhausted_rungs",
-                           static_cast<std::uint64_t>(
-                               verdict->exhausted_rungs.size()))
-                      .Add("steps_consumed", verdict->steps_consumed)
-                      .Add("bytes_consumed", verdict->bytes_consumed)
-                      .Add("elapsed_seconds", verdict->elapsed_seconds)
-                      .Build());
-  }
-  // Cache temperature this query ran at: hit/miss deltas of the memo
-  // layers (whole-query, QE result, plan, resultant).
-  record.AddRaw("caches",
-                JsonObjectBuilder()
-                    .Add("query_cache_hits", Delta(deltas, "query_cache_hits"))
-                    .Add("qe_cache_hits", Delta(deltas, "qe_cache_hits"))
-                    .Add("qe_cache_misses", Delta(deltas, "qe_cache_misses"))
-                    .Add("plan_cache_hits", Delta(deltas, "plan_cache_hits"))
-                    .Add("resultant_cache_hits",
-                         Delta(deltas, "resultant_cache_hits"))
-                    .Build());
-  if (!profile_json.empty()) record.AddRaw("profile", profile_json);
-  log.Append(record.Build());
+
+ private:
+  QueryLog& log_;
+  const bool logging_;
+  const std::uint64_t session_id_;
+  const std::string& config_fingerprint_;
+  const PlanToggle memo_;
+  std::map<std::string, std::uint64_t> before_;
+  const std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+};
+
+// NUMERICAL EVALUATION (Figure 1, step 3) for Explain / ExplainAnalyze:
+// only meaningful when the answer is a relation; a scalar aggregate is
+// already a value. Fills the numeric fields of `report` (an ExplainResult
+// or a QueryProfile).
+template <typename Report>
+Status EvaluateNumericStage(const CalcFResult& result, Report* report) {
+  if (result.has_scalar || result.relation.arity() == 0) return Status::Ok();
+  report->ran_numeric = true;
+  const auto start = std::chrono::steady_clock::now();
+  CCDB_ASSIGN_OR_RETURN(NumericalEvaluation numeric,
+                        EvaluateNumerically(result.relation));
+  report->numeric_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  report->numeric_finite = numeric.finite;
+  report->numeric_points = numeric.points.size();
+  return Status::Ok();
 }
 
 // Deterministic identity of (program, evaluation-relevant options) for the
@@ -342,11 +404,7 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   CCDB_TRACE_SPAN("db.query");
   CCDB_METRIC_COUNT("db.queries", 1);
   if (cache_hit != nullptr) *cache_hit = false;
-  QueryLog& qlog = Log();
-  const bool log = qlog.enabled();
-  std::map<std::string, std::uint64_t> before;
-  if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = std::chrono::steady_clock::now();
+  QueryObserver observer(Log(), id_, fingerprint_, options_.qe.memo);
   bool hit = false;
   // One catalog snapshot for the whole query: the memo key's read-set
   // versions and every relation the evaluator instantiates come from the
@@ -361,12 +419,12 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
   const bool use_cache = options_.governor == nullptr &&
                          options_.qe.governor == nullptr &&
                          MemoCachesEnabledFor(options_.qe.memo);
-  // The query's read-set at this snapshot — the memo key and the log's
-  // invalidation scope. Unparsable text has no read-set (the evaluator
-  // below reports the parse error) and is never cached.
+  // The query's read-set at this snapshot — the memo key. Unparsable text
+  // has no read-set (the evaluator below reports the parse error) and is
+  // never cached.
   std::vector<std::pair<std::string, std::uint64_t>> read_set;
   bool have_read_set = false;
-  if (use_cache || log) {
+  if (use_cache) {
     if (StatusOr<std::vector<std::string>> names =
             RelationsReadBy(text, options_.qe.memo);
         names.ok()) {
@@ -391,17 +449,7 @@ StatusOr<CalcFResult> Session::QueryImpl(const std::string& text,
     return result;
   }();
   if (cache_hit != nullptr) *cache_hit = hit;
-  if (log) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      log_start)
-            .count();
-    AppendQueryLogRecord(
-        qlog, id_, fingerprint_, "query", text, snapshot->version(), outcome,
-        hit, /*verdict=*/nullptr, elapsed,
-        MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
-  }
+  observer.Log("query", text, *snapshot, outcome, hit, /*verdict=*/nullptr);
   return outcome;
 }
 
@@ -410,14 +458,10 @@ StatusOr<CalcFResult> Session::QueryWithPolicy(const std::string& text,
                                                QueryVerdict* verdict) const {
   CCDB_TRACE_SPAN("db.query_with_policy");
   CCDB_METRIC_COUNT("db.governed_queries", 1);
-  QueryLog& qlog = Log();
   QueryVerdict local;
   QueryVerdict& v = verdict != nullptr ? *verdict : local;
   v = QueryVerdict{};
-  const bool log = qlog.enabled();
-  std::map<std::string, std::uint64_t> before;
-  if (log) before = MetricsRegistry::Global().SnapshotValues();
-  auto log_start = std::chrono::steady_clock::now();
+  QueryObserver observer(Log(), id_, fingerprint_, options_.qe.memo);
   // One snapshot across every rung: a degraded retry answers against the
   // same catalog state the full-quality attempt saw.
   std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
@@ -476,25 +520,7 @@ StatusOr<CalcFResult> Session::QueryWithPolicy(const std::string& text,
   CCDB_METRIC_COUNT("db.governed_exhausted", 1);
   return last;
   }();
-  if (log) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      log_start)
-            .count();
-    std::vector<std::pair<std::string, std::uint64_t>> read_set;
-    bool have_read_set = false;
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, options_.qe.memo);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-    AppendQueryLogRecord(
-        qlog, id_, fingerprint_, "governed", text, snapshot->version(),
-        outcome, /*cache_hit=*/false, &v, elapsed,
-        MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-        have_read_set ? &read_set : nullptr);
-  }
+  observer.Log("governed", text, *snapshot, outcome, /*cache_hit=*/false, &v);
   return outcome;
 }
 
@@ -518,28 +544,13 @@ StatusOr<ExplainResult> Session::Explain(const std::string& text) const {
   CCDB_TRACE_SPAN("db.explain");
   CCDB_METRIC_COUNT("db.explains", 1);
   ExplainResult explain;
-  auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = std::chrono::steady_clock::now();
+  // Watched only: the query's own record is logged by QueryImpl.
+  QueryObserver observer(Log(), id_, fingerprint_, options_.qe.memo,
+                         /*watch=*/true);
   CCDB_ASSIGN_OR_RETURN(explain.result, QueryImpl(text, &explain.from_cache));
-  // NUMERICAL EVALUATION (Figure 1, step 3): only meaningful when the
-  // answer is a relation; a scalar aggregate is already a value.
-  if (!explain.result.has_scalar && explain.result.relation.arity() > 0) {
-    explain.ran_numeric = true;
-    auto numeric_start = std::chrono::steady_clock::now();
-    CCDB_ASSIGN_OR_RETURN(NumericalEvaluation numeric,
-                          EvaluateNumerically(explain.result.relation));
-    explain.numeric_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      numeric_start)
-            .count();
-    explain.numeric_finite = numeric.finite;
-    explain.numeric_points = numeric.points.size();
-  }
-  explain.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  explain.metric_deltas =
-      MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
+  CCDB_RETURN_IF_ERROR(EvaluateNumericStage(explain.result, &explain));
+  explain.total_seconds = observer.Seconds();
+  explain.metric_deltas = observer.Deltas();
   return explain;
 }
 
@@ -547,11 +558,7 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
     const std::string& text) const {
   CCDB_TRACE_SPAN("db.explain_analyze");
   CCDB_METRIC_COUNT("db.explain_analyzes", 1);
-  QueryLog& qlog = Log();
-  const bool log = qlog.enabled();
   ExplainAnalyzeResult out;
-  auto before = MetricsRegistry::Global().SnapshotValues();
-  auto start = std::chrono::steady_clock::now();
   // Run the actual pipeline with a profile sink armed — the whole-query
   // memo is bypassed on purpose (EXPLAIN ANALYZE observes an execution,
   // not a memo lookup); the QE / plan / resultant memo layers still apply
@@ -560,56 +567,22 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
   ProfileSink sink;
   CalcFOptions opts = options_;
   opts.qe.profile = &sink;
+  QueryObserver observer(Log(), id_, fingerprint_, opts.qe.memo,
+                         /*watch=*/true);
   std::shared_ptr<const Catalog::View> snapshot = ReadSnapshot();
-  std::vector<std::pair<std::string, std::uint64_t>> read_set;
-  bool have_read_set = false;
-  if (log) {
-    if (StatusOr<std::vector<std::string>> names =
-            RelationsReadBy(text, opts.qe.memo);
-        names.ok()) {
-      read_set = ResolveReadSet(*names, *snapshot);
-      have_read_set = true;
-    }
-  }
   CalcFEvaluator evaluator(LookupFor(snapshot), opts);
   StatusOr<CalcFResult> outcome = evaluator.EvaluateText(text);
   if (!outcome.ok()) {
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (log) {
-      AppendQueryLogRecord(
-          qlog, id_, fingerprint_, "explain_analyze", text,
-          snapshot->version(), outcome, /*cache_hit=*/false,
-          /*verdict=*/nullptr, elapsed,
-          MetricDeltas(before, MetricsRegistry::Global().SnapshotValues()),
-          have_read_set ? &read_set : nullptr);
-    }
+    observer.Log("explain_analyze", text, *snapshot, outcome,
+                 /*cache_hit=*/false, /*verdict=*/nullptr);
     return outcome.status();
   }
-  out.result = std::move(*outcome);
   QueryProfile& profile = out.profile;
-  // NUMERICAL EVALUATION (Figure 1, step 3), same rule as Explain: only
-  // meaningful when the answer is a relation.
-  if (!out.result.has_scalar && out.result.relation.arity() > 0) {
-    profile.ran_numeric = true;
-    auto numeric_start = std::chrono::steady_clock::now();
-    CCDB_ASSIGN_OR_RETURN(NumericalEvaluation numeric,
-                          EvaluateNumerically(out.result.relation));
-    profile.numeric_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      numeric_start)
-            .count();
-    profile.numeric_finite = numeric.finite;
-    profile.numeric_points = numeric.points.size();
-  }
-  profile.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  profile.stats = out.result.stats;
+  CCDB_RETURN_IF_ERROR(EvaluateNumericStage(*outcome, &profile));
+  profile.total_seconds = observer.Seconds();
+  profile.stats = outcome->stats;
   profile.qe_rounds = sink.Take();
-  profile.metric_deltas =
-      MetricDeltas(before, MetricsRegistry::Global().SnapshotValues());
+  profile.metric_deltas = observer.Deltas();
   profile.qe_cache_hits = Delta(profile.metric_deltas, "qe_cache_hits");
   profile.qe_cache_misses = Delta(profile.metric_deltas, "qe_cache_misses");
   profile.plan_cache_hits = Delta(profile.metric_deltas, "plan_cache_hits");
@@ -629,15 +602,9 @@ StatusOr<ExplainAnalyzeResult> Session::ExplainAnalyze(
     profile.governor_steps = consumed.steps;
     profile.governor_bytes = consumed.bytes;
   }
-  if (log) {
-    StatusOr<CalcFResult> logged = out.result;
-    AppendQueryLogRecord(qlog, id_, fingerprint_, "explain_analyze", text,
-                         snapshot->version(), logged, /*cache_hit=*/false,
-                         /*verdict=*/nullptr, profile.total_seconds,
-                         profile.metric_deltas,
-                         have_read_set ? &read_set : nullptr,
-                         profile.ToJson());
-  }
+  observer.Log("explain_analyze", text, *snapshot, outcome,
+               /*cache_hit=*/false, /*verdict=*/nullptr, &profile);
+  out.result = std::move(*outcome);
   return out;
 }
 

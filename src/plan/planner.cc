@@ -1,7 +1,6 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -28,44 +27,6 @@ std::uint64_t MaxBits(const std::vector<GeneralizedTuple>& tuples) {
     }
   }
   return bits;
-}
-
-// Accumulates a sub-elimination's stats into the run's stats. The `plan`
-// string is intentionally not merged: only the top-level run carries the
-// plan summary.
-void MergeStats(QeStats* into, const QeStats& from) {
-  into->cad_cells += from.cad_cells;
-  into->projection_factors += from.projection_factors;
-  into->fm_rounds += from.fm_rounds;
-  into->cache_hits += from.cache_hits;
-  into->max_intermediate_bits =
-      std::max(into->max_intermediate_bits, from.max_intermediate_bits);
-  into->used_linear_path |= from.used_linear_path;
-  into->used_dense_order_path |= from.used_dense_order_path;
-  into->used_thom_augmentation |= from.used_thom_augmentation;
-}
-
-std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Attribution counters for a profile node, from the node's accumulated
-// engine stats. Zero values and already-present names are skipped.
-void AddQeCounters(ProfileNode* node, const QeStats& s) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    for (const auto& [key, unused] : node->counters) {
-      if (key == name) return;
-    }
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", s.cad_cells);
-  add("projection_factors", s.projection_factors);
-  add("fm_rounds", s.fm_rounds);
-  add("max_bits", s.max_intermediate_bits);
-  add("qe_cache_hits", s.cache_hits);
 }
 
 std::string VarName(int v, const std::vector<std::string>& names) {
@@ -171,13 +132,12 @@ std::shared_ptr<PlanNode> MakeLeaf(std::vector<GeneralizedTuple> tuples) {
 
 // The executor's per-node result: the produced union of tuples over the
 // free variables plus the engine stats of the sub-eliminations that
-// produced it. Stats are returned (not written through a shared pointer)
-// because union members execute in parallel; the caller merges them in
-// member order, keeping the accumulation thread-count independent. The
-// profile node (filled only when EXPLAIN ANALYZE armed a sink) rides the
-// same channel for the same reason: parents splice children in plan
-// order, so the attribution tree's shape is deterministic at every thread
-// count.
+// produced it. Each node writes its own result (union members execute in
+// parallel, each into its own slot); the caller merges them in member
+// order, keeping the accumulation thread-count independent. The profile
+// node (filled only when EXPLAIN ANALYZE armed a sink) rides the same
+// channel for the same reason: parents splice children in plan order, so
+// the attribution tree's shape is deterministic at every thread count.
 struct ExecResult {
   std::vector<GeneralizedTuple> tuples;
   QeStats stats;
@@ -203,126 +163,116 @@ Formula BlockToFormula(const std::vector<GeneralizedTuple>& tuples,
   return f;
 }
 
-StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
-                              const QeOptions& options, bool profiling);
+Status ExecNode(const PlanNode& node, int num_free_vars,
+                const QeOptions& options, bool profiling, ExecResult* r);
 
 // Eliminates one block with its fragment's engine, mirroring the
 // monolithic driver's primitive sequence exactly: peel defining equations
 // innermost-first, then per-variable dense-order / Fourier-Motzkin rounds;
 // polynomial residue goes back through the public CAD driver with
 // planning forced off.
-StatusOr<ExecResult> ExecBlock(const PlanNode& node, int num_free_vars,
-                               const QeOptions& options, bool profiling) {
+Status ExecBlock(const PlanNode& node, int num_free_vars,
+                 const QeOptions& options, bool profiling, ExecResult* r) {
   const ResourceGovernor* gov = options.governor;
-  const auto start = std::chrono::steady_clock::now();
-  ExecResult r;
   if (profiling) {
-    r.profile.label = std::string("block[") + FragmentEngine(node.fragment) +
-                      "] exists";
-    for (int v : node.vars) r.profile.label += " x" + std::to_string(v);
+    r->profile.label = std::string("block[") + FragmentEngine(node.fragment) +
+                       "] exists";
+    for (int v : node.vars) r->profile.label += " x" + std::to_string(v);
   }
-  r.tuples = node.tuples;
-  r.stats.max_intermediate_bits = MaxBits(r.tuples);
+  r->tuples = node.tuples;
+  r->stats.max_intermediate_bits = MaxBits(r->tuples);
   std::vector<int> vars = node.vars;
   std::uint64_t peeled = 0;
   while (options.allow_equation_substitution && !vars.empty() &&
-         TrySubstituteInnermostExists(&r.tuples, vars.back())) {
+         TrySubstituteInnermostExists(&r->tuples, vars.back())) {
     CCDB_CHECK_BUDGET(gov, "qe.drive");
     CCDB_METRIC_COUNT("qe.equation_substitutions", 1);
     ++peeled;
     vars.pop_back();
-    r.tuples = SimplifyTuples(std::move(r.tuples));
-    r.stats.max_intermediate_bits =
-        std::max(r.stats.max_intermediate_bits, MaxBits(r.tuples));
+    r->tuples = SimplifyTuples(std::move(r->tuples));
+    r->stats.max_intermediate_bits =
+        std::max(r->stats.max_intermediate_bits, MaxBits(r->tuples));
   }
-  auto finish = [&]() {
-    if (!profiling) return;
-    r.profile.inclusive_us = ElapsedUs(start);
-    if (peeled > 0) r.profile.AddCounter("substitutions", peeled);
-    AddQeCounters(&r.profile, r.stats);
-    r.profile.AddCounter("tuples_out", r.tuples.size());
-  };
-  if (vars.empty()) {
-    finish();
-    return r;
-  }
+  if (profiling && peeled > 0) r->profile.AddCounter("substitutions", peeled);
 
-  if (node.fragment != Fragment::kPolynomial) {
+  if (vars.empty()) {
+    // Every quantifier was peeled: nothing is left to eliminate.
+  } else if (node.fragment != Fragment::kPolynomial) {
     CCDB_TRACE_SPAN("qe.fourier_motzkin");
-    r.stats.used_linear_path = true;
-    r.stats.used_dense_order_path = node.fragment == Fragment::kDenseOrder;
+    r->stats.used_linear_path = true;
+    r->stats.used_dense_order_path = node.fragment == Fragment::kDenseOrder;
+    CCDB_METRIC_COUNT("qe.linear_path", 1);
+    if (r->stats.used_dense_order_path) {
+      CCDB_METRIC_COUNT("qe.dense_order_path", 1);
+    }
     for (int i = static_cast<int>(vars.size()) - 1; i >= 0; --i) {
       CCDB_CHECK_BUDGET(gov, "qe.fm");
-      ++r.stats.fm_rounds;
+      ++r->stats.fm_rounds;
       if (node.fragment == Fragment::kDenseOrder) {
         // Closure over the dense-order language is asserted per round, so
         // every intermediate result stays inside FO(<=).
-        CCDB_ASSIGN_OR_RETURN(r.tuples, EliminateExistsDenseOrder(
-                                            r.tuples, vars[i], gov,
-                                            options.pool));
+        CCDB_ASSIGN_OR_RETURN(r->tuples, EliminateExistsDenseOrder(
+                                             r->tuples, vars[i], gov,
+                                             options.pool));
       } else {
         CCDB_ASSIGN_OR_RETURN(
-            r.tuples,
-            EliminateExistsLinear(r.tuples, vars[i], gov, options.pool));
+            r->tuples,
+            EliminateExistsLinear(r->tuples, vars[i], gov, options.pool));
       }
-      r.stats.max_intermediate_bits =
-          std::max(r.stats.max_intermediate_bits, MaxBits(r.tuples));
+      r->stats.max_intermediate_bits =
+          std::max(r->stats.max_intermediate_bits, MaxBits(r->tuples));
     }
-    finish();
-    return r;
+  } else {
+    // Polynomial residue: rebuild the block formula and hand it to the
+    // monolithic driver (planning off). Under linear_only this refuses with
+    // kResourceExhausted, exactly like the monolithic path would.
+    QeOptions sub = options;
+    sub.plan = PlanToggle::kOff;
+    sub.profile = nullptr;
+    QeStats sub_stats;
+    CCDB_ASSIGN_OR_RETURN(
+        ConstraintRelation rel,
+        EliminateQuantifiers(BlockToFormula(r->tuples, vars), num_free_vars,
+                             sub, &sub_stats));
+    r->stats.Merge(sub_stats);
+    r->tuples = std::move(*rel.mutable_tuples());
   }
-
-  // Polynomial residue: rebuild the block formula and hand it to the
-  // monolithic driver (planning off). Under linear_only this refuses with
-  // kResourceExhausted, exactly like the monolithic path would.
-  QeOptions sub = options;
-  sub.plan = PlanToggle::kOff;
-  sub.profile = nullptr;
-  QeStats sub_stats;
-  CCDB_ASSIGN_OR_RETURN(
-      ConstraintRelation rel,
-      EliminateQuantifiers(BlockToFormula(r.tuples, vars), num_free_vars, sub,
-                           &sub_stats));
-  MergeStats(&r.stats, sub_stats);
-  r.tuples = std::move(*rel.mutable_tuples());
-  finish();
-  return r;
+  if (profiling) r->stats.AddCountersTo(&r->profile, r->tuples.size());
+  return Status::Ok();
 }
 
-StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
-                              const QeOptions& options, bool profiling) {
+// Executes `node` into `*r` (fresh on entry). When `profiling`, r->profile
+// is the node's attribution: the Stage below times it over the whole call.
+Status ExecNode(const PlanNode& node, int num_free_vars,
+                const QeOptions& options, bool profiling, ExecResult* r) {
   const ResourceGovernor* gov = options.governor;
-  const auto start = std::chrono::steady_clock::now();
+  Stage stage(nullptr, profiling ? &r->profile : nullptr);
   switch (node.kind) {
-    case PlanNode::Kind::kLeaf: {
-      ExecResult r;
-      r.tuples = node.tuples;
-      r.stats.max_intermediate_bits = MaxBits(r.tuples);
+    case PlanNode::Kind::kLeaf:
+      r->tuples = node.tuples;
+      r->stats.max_intermediate_bits = MaxBits(r->tuples);
       if (profiling) {
-        r.profile.label = "leaf";
-        r.profile.inclusive_us = ElapsedUs(start);
-        r.profile.AddCounter("tuples_out", r.tuples.size());
+        r->profile.label = "leaf";
+        r->profile.AddCounter("tuples_out", r->tuples.size());
       }
-      return r;
-    }
+      return Status::Ok();
     case PlanNode::Kind::kBlock:
-      return ExecBlock(node, num_free_vars, options, profiling);
+      return ExecBlock(node, num_free_vars, options, profiling, r);
     case PlanNode::Kind::kProduct: {
       // Cartesian recombination of independent factors, in child order:
       // sound because the children's quantified supports are disjoint and
       // deterministic because the nesting order is a plan decision.
-      ExecResult r;
-      r.tuples = {GeneralizedTuple()};
+      r->tuples = {GeneralizedTuple()};
       for (const auto& child : node.children) {
         CCDB_CHECK_BUDGET(gov, "qe.drive");
-        CCDB_ASSIGN_OR_RETURN(
-            ExecResult part,
-            ExecNode(*child, num_free_vars, options, profiling));
-        MergeStats(&r.stats, part.stats);
-        if (profiling) r.profile.children.push_back(std::move(part.profile));
+        ExecResult part;
+        CCDB_RETURN_IF_ERROR(
+            ExecNode(*child, num_free_vars, options, profiling, &part));
+        r->stats.Merge(part.stats);
+        if (profiling) r->profile.children.push_back(std::move(part.profile));
         std::vector<GeneralizedTuple> crossed;
-        crossed.reserve(r.tuples.size() * part.tuples.size());
-        for (const GeneralizedTuple& a : r.tuples) {
+        crossed.reserve(r->tuples.size() * part.tuples.size());
+        for (const GeneralizedTuple& a : r->tuples) {
           for (const GeneralizedTuple& b : part.tuples) {
             GeneralizedTuple joined = a;
             joined.atoms.insert(joined.atoms.end(), b.atoms.begin(),
@@ -330,14 +280,13 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
             crossed.push_back(std::move(joined));
           }
         }
-        r.tuples = std::move(crossed);
+        r->tuples = std::move(crossed);
       }
       if (profiling) {
-        r.profile.label = "product";
-        r.profile.inclusive_us = ElapsedUs(start);
-        r.profile.AddCounter("tuples_out", r.tuples.size());
+        r->profile.label = "product";
+        r->profile.AddCounter("tuples_out", r->tuples.size());
       }
-      return r;
+      return Status::Ok();
     }
     case PlanNode::Kind::kUnion: {
       // The planner's parallel fan-out point: members are independent
@@ -349,46 +298,42 @@ StatusOr<ExecResult> ExecNode(const PlanNode& node, int num_free_vars,
               node.children.size(),
               [&](std::size_t i) -> StatusOr<ExecResult> {
                 CCDB_CHECK_BUDGET(gov, "qe.drive");
-                return ExecNode(*node.children[i], num_free_vars, options,
-                                profiling);
+                ExecResult slot;
+                CCDB_RETURN_IF_ERROR(ExecNode(*node.children[i],
+                                              num_free_vars, options,
+                                              profiling, &slot));
+                return slot;
               }));
-      ExecResult r;
       for (ExecResult& slot : slots) {
-        MergeStats(&r.stats, slot.stats);
-        if (profiling) r.profile.children.push_back(std::move(slot.profile));
+        r->stats.Merge(slot.stats);
+        if (profiling) r->profile.children.push_back(std::move(slot.profile));
         for (GeneralizedTuple& tuple : slot.tuples) {
-          r.tuples.push_back(std::move(tuple));
+          r->tuples.push_back(std::move(tuple));
         }
       }
       if (profiling) {
         // Inclusive time is the union's wall time (the parallel wait);
         // children may sum past it, which exclusive_us() clamps at 0.
-        r.profile.label = "union";
-        r.profile.inclusive_us = ElapsedUs(start);
-        r.profile.AddCounter("members", node.children.size());
-        r.profile.AddCounter("tuples_out", r.tuples.size());
+        r->profile.label = "union";
+        r->profile.AddCounter("members", node.children.size());
+        r->profile.AddCounter("tuples_out", r->tuples.size());
       }
-      return r;
+      return Status::Ok();
     }
     case PlanNode::Kind::kMonolithic: {
       QeOptions sub = options;
       sub.plan = PlanToggle::kOff;
       sub.profile = nullptr;
-      QeStats sub_stats;
-      ExecResult r;
       CCDB_ASSIGN_OR_RETURN(
           ConstraintRelation rel,
-          EliminateQuantifiers(node.formula, num_free_vars, sub, &sub_stats));
-      MergeStats(&r.stats, sub_stats);
-      r.tuples = std::move(*rel.mutable_tuples());
+          EliminateQuantifiers(node.formula, num_free_vars, sub, &r->stats));
+      r->tuples = std::move(*rel.mutable_tuples());
       if (profiling) {
-        r.profile.label =
+        r->profile.label =
             std::string("monolithic[") + FragmentEngine(node.fragment) + "]";
-        r.profile.inclusive_us = ElapsedUs(start);
-        AddQeCounters(&r.profile, r.stats);
-        r.profile.AddCounter("tuples_out", r.tuples.size());
+        r->stats.AddCountersTo(&r->profile, r->tuples.size());
       }
-      return r;
+      return Status::Ok();
     }
   }
   return Status::Internal("unreachable plan node kind");
@@ -600,10 +545,10 @@ StatusOr<ConstraintRelation> ExecutePlan(const QueryPlan& plan,
   CCDB_METRIC_COUNT("qe.plan.dispatch.dense_order", plan.dispatch[0]);
   CCDB_METRIC_COUNT("qe.plan.dispatch.fourier_motzkin", plan.dispatch[1]);
   CCDB_METRIC_COUNT("qe.plan.dispatch.cad", plan.dispatch[2]);
-  CCDB_ASSIGN_OR_RETURN(
-      ExecResult r,
-      ExecNode(*plan.root, plan.num_free_vars, options, profile != nullptr));
-  MergeStats(stats, r.stats);
+  ExecResult r;
+  CCDB_RETURN_IF_ERROR(ExecNode(*plan.root, plan.num_free_vars, options,
+                                profile != nullptr, &r));
+  stats->Merge(r.stats);
   if (profile != nullptr) *profile = std::move(r.profile);
   return ConstraintRelation(plan.num_free_vars,
                             SimplifyTuples(std::move(r.tuples)));

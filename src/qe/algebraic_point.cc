@@ -51,12 +51,6 @@ StatusOr<Polynomial> AlgebraicPoint::EliminateCoords(
   return q;
 }
 
-Polynomial AlgebraicPoint::EliminateCoords(Polynomial q, int extra_var) const {
-  auto result = EliminateCoords(std::move(q), extra_var, nullptr);
-  CCDB_CHECK(result.ok());
-  return *std::move(result);
-}
-
 Polynomial AlgebraicPoint::SubstituteRational(const Polynomial& p,
                                               int* algebraic_var,
                                               int* algebraic_count) const {
@@ -86,6 +80,15 @@ std::vector<Interval> AlgebraicPoint::Box(const Polynomial& q) const {
 }
 
 int AlgebraicPoint::SignAt(const Polynomial& p, bool* exact) const {
+  const ResourceGovernor* unlimited = nullptr;
+  StatusOr<int> sign = SignAt(p, unlimited, exact);
+  CCDB_CHECK(sign.ok());  // a null governor never trips
+  return *sign;
+}
+
+StatusOr<int> AlgebraicPoint::SignAt(const Polynomial& p,
+                                     const ResourceGovernor* gov,
+                                     bool* exact) const {
   if (exact != nullptr) *exact = false;
   // Substitute rational coordinates; if at most one algebraic coordinate
   // remains, delegate to the univariate machinery.
@@ -104,7 +107,8 @@ int AlgebraicPoint::SignAt(const Polynomial& p, bool* exact) const {
   int sign = q.EvaluateInterval(Box(q)).CertainSign();
   if (sign != Interval::kAmbiguousSign) return sign;
   if (exact != nullptr) *exact = true;
-  return ValueAt(p).Sign();
+  CCDB_ASSIGN_OR_RETURN(AlgebraicNumber value, ValueAt(p, gov));
+  return value.Sign();
 }
 
 int AlgebraicPoint::NonzeroSignAt(const Polynomial& p) const {
@@ -132,17 +136,26 @@ int AlgebraicPoint::NonzeroSignAt(const Polynomial& p) const {
 }
 
 AlgebraicNumber AlgebraicPoint::ValueAt(const Polynomial& p) const {
+  auto value = ValueAt(p, nullptr);
+  CCDB_CHECK(value.ok());  // a null governor never trips
+  return *std::move(value);
+}
+
+StatusOr<AlgebraicNumber> AlgebraicPoint::ValueAt(
+    const Polynomial& p, const ResourceGovernor* gov) const {
   CCDB_CHECK(p.max_var() < dimension());
   // T(z) = iterated resultant eliminating every coordinate from z - p; the
   // value p(point) is among the real roots of T.
   int z_var = dimension();
   Polynomial z_minus_p = Polynomial::Var(z_var) - p;
-  Polynomial t = EliminateCoords(std::move(z_minus_p), z_var);
+  CCDB_ASSIGN_OR_RETURN(Polynomial t,
+                        EliminateCoords(std::move(z_minus_p), z_var, gov));
   CCDB_CHECK_MSG(!t.is_zero(),
                  "iterated resultant vanished identically in ValueAt");
   auto t_upoly = UPoly::FromPolynomial(t, z_var);
   CCDB_CHECK(t_upoly.ok());
-  std::vector<AlgebraicNumber> candidates = AlgebraicNumber::RootsOf(*t_upoly);
+  CCDB_ASSIGN_OR_RETURN(std::vector<AlgebraicNumber> candidates,
+                        AlgebraicNumber::RootsOf(*t_upoly, gov));
   CCDB_CHECK_MSG(!candidates.empty(), "candidate set empty in ValueAt");
   if (candidates.size() == 1) return candidates[0];
 
@@ -206,8 +219,9 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   // effective degree.
   std::vector<Polynomial> coeffs = p.CoefficientsIn(y_var);
   int effective_degree = static_cast<int>(coeffs.size()) - 1;
-  while (effective_degree >= 0 &&
-         SignAt(coeffs[effective_degree]) == 0) {
+  while (effective_degree >= 0) {
+    CCDB_ASSIGN_OR_RETURN(int sign, SignAt(coeffs[effective_degree], gov));
+    if (sign != 0) break;
     --effective_degree;
   }
   if (effective_degree < 0) {
@@ -236,10 +250,8 @@ StatusOr<std::vector<AlgebraicNumber>> AlgebraicPoint::StackRoots(
   std::vector<AlgebraicNumber> roots;
   for (AlgebraicNumber& candidate : candidates) {
     CCDB_CHECK_BUDGET(gov, "cad.stack");
-    AlgebraicPoint extended = Extended(candidate);
-    if (extended.SignAt(effective) == 0) {
-      roots.push_back(std::move(candidate));
-    }
+    CCDB_ASSIGN_OR_RETURN(int sign, Extended(candidate).SignAt(effective, gov));
+    if (sign == 0) roots.push_back(std::move(candidate));
   }
   return roots;
 }

@@ -45,7 +45,12 @@ class AlgebraicPoint {
   /// One interval evaluation on the current coordinate intervals decides
   /// most calls; only when it straddles 0 does an exact step decide (the
   /// gcd zero test for one algebraic coordinate, ValueAt for more).
-  /// `exact`, when non-null, is set to whether that exact step ran.
+  /// `exact`, when non-null, is set to whether that exact step ran. A
+  /// non-null `gov` is charged in ValueAt and turns a budget trip into
+  /// kResourceExhausted; ungoverned, the call cannot fail.
+  StatusOr<int> SignAt(const Polynomial& p, const ResourceGovernor* gov,
+                       bool* exact = nullptr) const;
+  /// Ungoverned SignAt.
   int SignAt(const Polynomial& p, bool* exact = nullptr) const;
 
   /// Sign of p at this point when p is already known not to vanish there
@@ -54,7 +59,12 @@ class AlgebraicPoint {
   /// Never runs an exact step; loops forever if p does vanish.
   int NonzeroSignAt(const Polynomial& p) const;
 
-  /// Exact value of p at this point as an algebraic number.
+  /// Exact value of p at this point as an algebraic number. The iterated
+  /// resultant and the root isolation of its candidates charge a non-null
+  /// `gov`.
+  StatusOr<AlgebraicNumber> ValueAt(const Polynomial& p,
+                                    const ResourceGovernor* gov) const;
+  /// Ungoverned ValueAt.
   AlgebraicNumber ValueAt(const Polynomial& p) const;
 
   /// The distinct real roots of y -> p(point, y) in increasing order, where
@@ -63,8 +73,8 @@ class AlgebraicPoint {
   /// Fails with kNumericalFailure in the degenerate case where the
   /// candidate resultant vanishes identically, and with kInvalidArgument
   /// when p vanishes identically over the stack. A non-null `gov` is
-  /// charged during root isolation and candidate filtering and turns
-  /// budget trips into kResourceExhausted.
+  /// charged during root isolation, the exact sign steps and candidate
+  /// filtering and turns budget trips into kResourceExhausted.
   StatusOr<std::vector<AlgebraicNumber>> StackRoots(
       const Polynomial& p, const ResourceGovernor* gov = nullptr) const;
 
@@ -80,7 +90,6 @@ class AlgebraicPoint {
   // iterated resultants charge `gov` when non-null.
   StatusOr<Polynomial> EliminateCoords(Polynomial q, int extra_var,
                                        const ResourceGovernor* gov) const;
-  Polynomial EliminateCoords(Polynomial q, int extra_var) const;
   // Substitutes the rational coordinates into p. Sets *algebraic_var to a
   // remaining algebraic coordinate p mentions (or -1) and returns how many
   // such coordinates there are.

@@ -310,7 +310,10 @@ StatusOr<Cad> Cad::Build(const std::vector<Polynomial>& polys, int num_vars,
                                              return lift(cad.roots_[i], 1);
                                            }));
   }
+  std::size_t projection_factors = 0;
+  for (const auto& level : cad.factors_) projection_factors += level.size();
   CCDB_METRIC_COUNT("cad.cells", cad.CountAllCells());
+  CCDB_METRIC_COUNT("cad.projection_factors", projection_factors);
   return cad;
 }
 

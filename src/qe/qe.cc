@@ -96,30 +96,6 @@ RelOp OpForSign(int sign) {
   return RelOp::kEq;
 }
 
-std::int64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Folds a run's QeStats into a ProfileNode's counter list, skipping names
-// the producer already attached (monolithic sub-nodes carry their own) and
-// zero values.
-void AddQeCounters(ProfileNode* node, const QeStats& s) {
-  auto add = [node](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    for (const auto& [key, unused] : node->counters) {
-      if (key == name) return;
-    }
-    node->AddCounter(name, v);
-  };
-  add("cad_cells", s.cad_cells);
-  add("projection_factors", s.projection_factors);
-  add("fm_rounds", s.fm_rounds);
-  add("max_bits", s.max_intermediate_bits);
-  add("qe_cache_hits", s.cache_hits);
-}
-
 }  // namespace
 
 // Virtual substitution for defining equations: when the innermost
@@ -214,9 +190,10 @@ struct SignTally {
 // Sign of `p` at `cell`'s sample. `factor` is p's index among the factors
 // of the cell's own level, or -1. For such a factor the lifting already
 // decided whether it vanishes (CadCell::vanishing), so only the sign of a
-// known nonzero value is left to refine.
-int CellSign(const CadCell& cell, const Polynomial& p, int factor,
-             SignTally* tally) {
+// known nonzero value is left to refine. Otherwise an exact step may run,
+// charging `gov`.
+StatusOr<int> CellSign(const CadCell& cell, const Polynomial& p, int factor,
+                       const ResourceGovernor* gov, SignTally* tally) {
   if (factor >= 0) {
     ++tally->filtered;
     if (std::binary_search(cell.vanishing.begin(), cell.vanishing.end(),
@@ -226,7 +203,7 @@ int CellSign(const CadCell& cell, const Polynomial& p, int factor,
     return cell.sample.NonzeroSignAt(p);
   }
   bool exact = false;
-  int sign = cell.sample.SignAt(p, &exact);
+  CCDB_ASSIGN_OR_RETURN(int sign, cell.sample.SignAt(p, gov, &exact));
   ++(exact ? tally->exact : tally->filtered);
   return sign;
 }
@@ -236,42 +213,47 @@ int CellSign(const CadCell& cell, const Polynomial& p, int factor,
 // each cell's subtree is disjoint (sample coordinates are owned per cell,
 // so lazy interval refinement never crosses threads) and the verdicts are
 // merged in stack order, keeping the result thread-count independent.
+// Exact sign steps charge `gov`; a budget trip fails the evaluation.
 StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
                                     const std::vector<PrenexBlock>& prefix,
                                     int num_free,
                                     const std::vector<GeneralizedTuple>& matrix,
                                     const std::vector<Polynomial>& matrix_polys,
+                                    const ResourceGovernor* gov,
                                     ThreadPool* pool) {
   CCDB_TRACE_SPAN("cad.eval");
   int n = cad.num_vars();
   const std::vector<int> matrix_factor =
       FactorIndices(matrix_polys, cad.factors_at_level(n - 1));
+  // Truth of a stack of cells under quantifier `block`: the first child
+  // whose truth settles it (true under exists, false under forall) decides.
+  std::function<StatusOr<bool>(const CadCell&, SignTally*)> truth;
+  auto quantify = [&](const std::vector<CadCell>& cells,
+                      const PrenexBlock& block,
+                      SignTally* tally) -> StatusOr<bool> {
+    for (const CadCell& cell : cells) {
+      CCDB_ASSIGN_OR_RETURN(bool value, truth(cell, tally));
+      if (value == block.is_exists) return value;
+    }
+    return !block.is_exists;
+  };
   // Recursive truth of a cell.
-  std::function<bool(const CadCell&, SignTally*)> truth =
-      [&](const CadCell& cell, SignTally* tally) -> bool {
+  truth = [&](const CadCell& cell, SignTally* tally) -> StatusOr<bool> {
     int dim = cell.dimension();
     if (dim == n) {
       std::vector<int> signs;
       signs.reserve(matrix_polys.size());
       for (std::size_t i = 0; i < matrix_polys.size(); ++i) {
-        signs.push_back(
-            CellSign(cell, matrix_polys[i], matrix_factor[i], tally));
+        CCDB_ASSIGN_OR_RETURN(
+            int sign,
+            CellSign(cell, matrix_polys[i], matrix_factor[i], gov, tally));
+        signs.push_back(sign);
       }
       return MatrixTruth(matrix, matrix_polys, signs);
     }
     // Children live at variable index `dim`; its quantifier:
     CCDB_CHECK(dim >= num_free);
-    const PrenexBlock& block = prefix[dim - num_free];
-    if (block.is_exists) {
-      for (const CadCell& child : cell.children) {
-        if (truth(child, tally)) return true;
-      }
-      return false;
-    }
-    for (const CadCell& child : cell.children) {
-      if (!truth(child, tally)) return false;
-    }
-    return true;
+    return quantify(cell.children, prefix[dim - num_free], tally);
   };
 
   CadEvalResult result;
@@ -279,23 +261,8 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
     // Sentence: combine the base stack with the first quantifier.
     CCDB_CHECK(!prefix.empty());
     SignTally tally;
-    if (prefix[0].is_exists) {
-      result.sentence_truth = false;
-      for (const CadCell& cell : cad.roots()) {
-        if (truth(cell, &tally)) {
-          result.sentence_truth = true;
-          break;
-        }
-      }
-    } else {
-      result.sentence_truth = true;
-      for (const CadCell& cell : cad.roots()) {
-        if (!truth(cell, &tally)) {
-          result.sentence_truth = false;
-          break;
-        }
-      }
-    }
+    CCDB_ASSIGN_OR_RETURN(result.sentence_truth,
+                          quantify(cad.roots(), prefix[0], &tally));
     return result;
   }
 
@@ -318,10 +285,12 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
             CellVerdict verdict;
             verdict.vector.reserve(free_factors.size());
             for (std::size_t k = 0; k < free_factors.size(); ++k) {
-              verdict.vector.push_back(
-                  CellSign(cell, free_factors[k], free_factor[k], &tally));
+              CCDB_ASSIGN_OR_RETURN(
+                  int sign,
+                  CellSign(cell, free_factors[k], free_factor[k], gov, &tally));
+              verdict.vector.push_back(sign);
             }
-            verdict.truth = truth(cell, &tally);
+            CCDB_ASSIGN_OR_RETURN(verdict.truth, truth(cell, &tally));
             return verdict;
           }));
   for (CellVerdict& verdict : verdicts) {
@@ -334,28 +303,33 @@ StatusOr<CadEvalResult> EvaluateCad(const Cad& cad,
   return result;
 }
 
-// Folds a finished run's QeStats into the global metrics registry on every
-// exit path (including errors).
-struct QeMetricsFolder {
-  const QeStats* s;
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
-  ~QeMetricsFolder() {
-    CCDB_METRIC_COUNT("qe.calls", 1);
-    if (s->used_linear_path) CCDB_METRIC_COUNT("qe.linear_path", 1);
-    if (s->used_dense_order_path) CCDB_METRIC_COUNT("qe.dense_order_path", 1);
-    if (s->used_thom_augmentation) CCDB_METRIC_COUNT("qe.thom_augmentations", 1);
-    CCDB_METRIC_COUNT("qe.cad.cells", s->cad_cells);
-    CCDB_METRIC_COUNT("qe.cad.projection_factors", s->projection_factors);
-    CCDB_METRIC_MAX("qe.max_intermediate_bits", s->max_intermediate_bits);
-    auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    CCDB_METRIC_HISTOGRAM("qe.eliminate.us",
-                          static_cast<std::uint64_t>(micros));
-  }
-};
-
 }  // namespace
+
+void QeStats::Merge(const QeStats& sub) {
+  cad_cells += sub.cad_cells;
+  projection_factors += sub.projection_factors;
+  fm_rounds += sub.fm_rounds;
+  cache_hits += sub.cache_hits;
+  max_intermediate_bits =
+      std::max(max_intermediate_bits, sub.max_intermediate_bits);
+  used_linear_path |= sub.used_linear_path;
+  used_dense_order_path |= sub.used_dense_order_path;
+  used_thom_augmentation |= sub.used_thom_augmentation;
+}
+
+void QeStats::AddCountersTo(ProfileNode* node, std::size_t tuples_out) const {
+  auto add = [node](const char* name, std::uint64_t v) {
+    if (v != 0 && !node->HasCounter(name)) node->AddCounter(name, v);
+  };
+  add("cad_cells", cad_cells);
+  add("projection_factors", projection_factors);
+  add("fm_rounds", fm_rounds);
+  add("max_bits", max_intermediate_bits);
+  add("qe_cache_hits", cache_hits);
+  if (!node->HasCounter("tuples_out")) {
+    node->AddCounter("tuples_out", tuples_out);
+  }
+}
 
 std::string QeStats::ToString() const {
   std::ostringstream out;
@@ -383,12 +357,12 @@ std::string QeStats::ToJson() const {
       .Build();
 }
 
-// The elimination algorithm proper. The public EliminateQuantifiers wraps
-// this with the failpoint/budget prologue, the QE result cache, and the
-// profile-root bookkeeping. `prof` (nullable) receives this run's
-// attribution subtree; options.profile is already cleared by the wrapper,
-// so recursive EliminateQuantifiers calls below never double-append roots
-// to the sink.
+// The elimination algorithm proper. EliminateQuantifiersMemoized wraps
+// this with the failpoint/budget prologue and the QE result cache, the
+// public EliminateQuantifiers with the metrics and the profile root.
+// `prof` (nullable) receives this run's attribution subtree;
+// options.profile is already cleared by the wrapper, so recursive
+// EliminateQuantifiers calls below never double-append roots to the sink.
 static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     const Formula& formula, int num_free_vars, const QeOptions& options,
     QeStats* s, ProfileNode* prof) {
@@ -475,6 +449,8 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     if (prof != nullptr) prof->label = "qe.fourier_motzkin";
     s->used_linear_path = true;
     s->used_dense_order_path = matrix_fragment == Fragment::kDenseOrder;
+    CCDB_METRIC_COUNT("qe.linear_path", 1);
+    if (s->used_dense_order_path) CCDB_METRIC_COUNT("qe.dense_order_path", 1);
     for (int i = q - 1; i >= 0; --i) {
       CCDB_CHECK_BUDGET(gov, "qe.fm");
       ++s->fm_rounds;
@@ -521,14 +497,13 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     struct DisjunctSlot {
       ConstraintRelation rel;
       QeStats stats;
-      std::int64_t us = 0;
+      ProfileNode profile;
     };
     CCDB_ASSIGN_OR_RETURN(
         std::vector<DisjunctSlot> slots,
         ThreadPool::Resolve(options.pool)->ParallelMap<DisjunctSlot>(
             tuples.size(), [&](std::size_t i) -> StatusOr<DisjunctSlot> {
               CCDB_CHECK_BUDGET(gov, "qe.drive");
-              auto slot_start = std::chrono::steady_clock::now();
               std::vector<Formula> atoms;
               atoms.reserve(tuples[i].atoms.size());
               for (const Atom& atom : tuples[i].atoms) {
@@ -539,34 +514,25 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
                 disjunct = Formula::Exists(v, std::move(disjunct));
               }
               DisjunctSlot slot;
-              CCDB_ASSIGN_OR_RETURN(
-                  slot.rel, EliminateQuantifiers(disjunct, num_free_vars,
-                                                 options, &slot.stats));
-              if (profiling) slot.us = ElapsedUs(slot_start);
+              {
+                Stage stage(nullptr, profiling ? &slot.profile : nullptr);
+                CCDB_ASSIGN_OR_RETURN(
+                    slot.rel, EliminateQuantifiers(disjunct, num_free_vars,
+                                                   options, &slot.stats));
+              }
               return slot;
             }));
     ConstraintRelation rel(num_free_vars);
     if (profiling) prof->label = "qe.disjunct_split";
     for (std::size_t i = 0; i < slots.size(); ++i) {
       DisjunctSlot& slot = slots[i];
-      s->cad_cells += slot.stats.cad_cells;
-      s->projection_factors += slot.stats.projection_factors;
-      s->fm_rounds += slot.stats.fm_rounds;
-      s->cache_hits += slot.stats.cache_hits;
-      s->max_intermediate_bits =
-          std::max(s->max_intermediate_bits, slot.stats.max_intermediate_bits);
-      s->used_linear_path |= slot.stats.used_linear_path;
-      s->used_dense_order_path |= slot.stats.used_dense_order_path;
-      s->used_thom_augmentation |= slot.stats.used_thom_augmentation;
+      s->Merge(slot.stats);
       if (profiling) {
         // Children in disjunct order — the tree shape is a plan decision,
         // not a scheduling artifact.
-        ProfileNode child;
-        child.label = "disjunct[" + std::to_string(i) + "]";
-        child.inclusive_us = slot.us;
-        AddQeCounters(&child, slot.stats);
-        child.AddCounter("tuples_out", slot.rel.tuples().size());
-        prof->children.push_back(std::move(child));
+        slot.profile.label = "disjunct[" + std::to_string(i) + "]";
+        slot.stats.AddCountersTo(&slot.profile, slot.rel.tuples().size());
+        prof->children.push_back(std::move(slot.profile));
       }
       for (GeneralizedTuple& tuple : *slot.rel.mutable_tuples()) {
         rel.AddTuple(std::move(tuple));
@@ -587,6 +553,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     cad_options.pool = options.pool;
     if (attempt == 1) {
       s->used_thom_augmentation = true;
+      CCDB_METRIC_COUNT("qe.thom_augmentations", 1);
       CCDB_LOG(INFO) << "QE: retrying CAD with Thom-derivative augmentation "
                         "(plain sign vectors could not separate cells)";
     }
@@ -605,7 +572,7 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
     CCDB_ASSIGN_OR_RETURN(
         CadEvalResult eval,
         EvaluateCad(cad, prenex.prefix, num_free_vars, tuples, matrix_polys,
-                    options.pool));
+                    gov, options.pool));
 
     if (num_free_vars == 0) {
       ConstraintRelation rel(0);
@@ -668,15 +635,12 @@ static StatusOr<ConstraintRelation> EliminateQuantifiersUncached(
   return Status::Internal("unreachable: CAD attempts exhausted");
 }
 
-StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
-                                                  int num_free_vars,
-                                                  const QeOptions& options,
-                                                  QeStats* stats) {
-  CCDB_TRACE_SPAN("qe.eliminate");
-  QeStats local_stats;
-  QeStats* s = stats != nullptr ? stats : &local_stats;
-  *s = QeStats();
-  QeMetricsFolder folder{s};
+// The QE result cache over EliminateQuantifiersUncached, behind the
+// failpoint/budget prologue. `prof` (nullable) receives the run's
+// attribution tree; a cache hit labels it "qe[cached]".
+static StatusOr<ConstraintRelation> EliminateQuantifiersMemoized(
+    const Formula& formula, int num_free_vars, const QeOptions& options,
+    QeStats* s, ProfileNode* prof) {
   const ResourceGovernor* gov = options.governor;
   CCDB_FAILPOINT("qe.drive");
   CCDB_CHECK_BUDGET(gov, "qe.drive");
@@ -688,12 +652,8 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
                    "free variable " << v << " beyond arity " << num_free_vars);
   }
 
-  // Profile bookkeeping (observation only — arming a sink never changes
-  // the answer, and the sink pointer is excluded from every cache key).
   // The sink is cleared from the options passed down so recursive calls
   // report through this run's tree instead of appending their own roots.
-  ProfileSink* sink = options.profile;
-  const auto prof_start = std::chrono::steady_clock::now();
   QeOptions inner = options;
   inner.profile = nullptr;
 
@@ -710,22 +670,13 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     if (QeResultCache().Lookup(key, &cached)) {
       *s = cached.stats;
       s->cache_hits += 1;
-      if (sink != nullptr) {
-        ProfileNode node;
-        node.label = "qe[cached]";
-        node.inclusive_us = ElapsedUs(prof_start);
-        AddQeCounters(&node, *s);
-        node.AddCounter("tuples_out", cached.relation.tuples().size());
-        sink->Add(std::move(node));
-      }
+      if (prof != nullptr) prof->label = "qe[cached]";
       return cached.relation;
     }
   }
-  ProfileNode prof_root;
   CCDB_ASSIGN_OR_RETURN(
       ConstraintRelation result,
-      EliminateQuantifiersUncached(formula, num_free_vars, inner, s,
-                                   sink != nullptr ? &prof_root : nullptr));
+      EliminateQuantifiersUncached(formula, num_free_vars, inner, s, prof));
   // Canonical presentation: sorting the union of canonicalized disjuncts
   // makes the answer independent of derivation order — the anchor of the
   // planner-on/planner-off byte-identity contract (and a no-op for
@@ -738,16 +689,43 @@ StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
     stored.cache_hits = 0;
     QeResultCache().Insert(key, QeCacheValue{formula, result, stored});
   }
-  if (sink != nullptr) {
-    if (prof_root.label.empty()) prof_root.label = "qe";
-    prof_root.inclusive_us = ElapsedUs(prof_start);
-    AddQeCounters(&prof_root, *s);
-    if (!prof_root.HasCounter("tuples_out")) {
-      prof_root.AddCounter("tuples_out", result.tuples().size());
-    }
-    sink->Add(std::move(prof_root));
-  }
   return result;
+}
+
+StatusOr<ConstraintRelation> EliminateQuantifiers(const Formula& formula,
+                                                  int num_free_vars,
+                                                  const QeOptions& options,
+                                                  QeStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  QeStats local_stats;
+  QeStats* s = stats != nullptr ? stats : &local_stats;
+  *s = QeStats();
+  // Profile bookkeeping (observation only — arming a sink never changes
+  // the answer, and the sink pointer is excluded from every cache key).
+  ProfileSink* sink = options.profile;
+  ProfileNode root;
+  ProfileNode* prof = sink != nullptr ? &root : nullptr;
+  StatusOr<ConstraintRelation> outcome = [&] {
+    Stage stage("qe.eliminate", prof);
+    return EliminateQuantifiersMemoized(formula, num_free_vars, options, s,
+                                        prof);
+  }();
+  // Once per EliminateQuantifiers call, on every exit path. The work
+  // counters (CAD sizes, paths taken) are counted where the work happens.
+  CCDB_METRIC_COUNT("qe.calls", 1);
+  CCDB_METRIC_MAX("qe.max_intermediate_bits", s->max_intermediate_bits);
+  CCDB_METRIC_HISTOGRAM(
+      "qe.eliminate.us",
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
+  if (prof != nullptr && outcome.ok()) {
+    if (root.label.empty()) root.label = "qe";
+    s->AddCountersTo(&root, outcome->tuples().size());
+    sink->Add(std::move(root));
+  }
+  return outcome;
 }
 
 StatusOr<bool> DecideSentence(const Formula& sentence, const QeOptions& options,

@@ -14,6 +14,7 @@
 
 namespace ccdb {
 
+struct ProfileNode;
 class ProfileSink;
 
 /// Statistics of one quantifier-elimination run, exposed for the paper's
@@ -43,6 +44,16 @@ struct QeStats {
   /// drove this run ("" on the monolithic path and in sub-eliminations).
   /// Deterministic — depends only on the input formula and options.
   std::string plan;
+
+  /// Accumulates a sub-elimination's stats: counts add, the bit peak takes
+  /// the max, the path flags OR. `plan` is not merged — only the top-level
+  /// run carries the plan summary.
+  void Merge(const QeStats& sub);
+  /// The one fold of these stats onto a profile node: appends the nonzero
+  /// attribution counters cad_cells, projection_factors, fm_rounds,
+  /// max_bits and qe_cache_hits, then tuples_out, in that order, skipping
+  /// every name the node already carries.
+  void AddCountersTo(ProfileNode* node, std::size_t tuples_out) const;
 
   /// One-line human-readable rendering.
   std::string ToString() const;
@@ -89,12 +100,14 @@ struct QeOptions {
   /// EngineConfig::Process().plan (CCDB_PLAN, default on); kOff is the
   /// monolithic fallback path.
   PlanToggle plan = PlanToggle::kAuto;
-  /// Memo layers (QE result cache, resultant/PRS cache, whole-query cache)
-  /// for this evaluation: kAuto follows the process-wide switch
-  /// (MemoCachesEnabled, the CCDB_QE_CACHE knob), kOn/kOff force it per
-  /// call/session. Pure-memo contract holds at every setting: answers are
-  /// byte-identical on and off, and even kOn stands down while failpoints
-  /// are armed or a governor charges budget.
+  /// The memo layers this evaluation carries the toggle to (the QE result,
+  /// plan, Datalog rule-body, read-set and whole-query caches): kAuto
+  /// follows the process-wide switch (MemoCachesEnabled, the CCDB_QE_CACHE
+  /// knob), kOn/kOff force it per call/session. The resultant/PRS cache is
+  /// not reached: poly/resultant.cc reads only MemoCachesEnabled().
+  /// Pure-memo contract holds at every setting: answers are byte-identical
+  /// on and off, and even kOn stands down while failpoints are armed or a
+  /// governor charges budget.
   PlanToggle memo = PlanToggle::kAuto;
   /// Resource budget charged at every hot-loop head of the elimination
   /// (driver rounds, CAD projection/base/lifting, root isolation,

@@ -219,5 +219,34 @@ TEST(GovernorIntegrationTest, GovernedDatalogFixpointStops) {
   EXPECT_TRUE(gov.exhausted());
 }
 
+TEST(GovernorIntegrationTest, DeadlineStopsTheExactSignStep) {
+  // exists x2 (x0^2 + x1^2 + x2^2 - 4 < 0 and (x0 - 1)*x2 + x1 - 1 >= 0).
+  // Lifting over 3 variables spends its time in the exact sign step (the
+  // iterated resultant of AlgebraicPoint::ValueAt, reached from StackRoots
+  // and cell-truth evaluation), which must charge the governor too.
+  Polynomial x0 = Polynomial::Var(0), x1 = Polynomial::Var(1),
+             x2 = Polynomial::Var(2);
+  Formula query = Formula::Exists(
+      2, Formula::And(
+             Formula::Compare(x0 * x0 + x1 * x1 + x2 * x2 - Polynomial(4),
+                              RelOp::kLt, Polynomial(0)),
+             Formula::Compare((x0 - Polynomial(1)) * x2 + x1 - Polynomial(1),
+                              RelOp::kGe, Polynomial(0))));
+  ResourceGovernor gov(ResourceLimits::Deadline(1));
+  QeOptions options;
+  options.governor = &gov;
+  auto start = std::chrono::steady_clock::now();
+  auto result = EliminateQuantifiers(query, 2, options);
+  double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("stage="), std::string::npos)
+      << result.status().ToString();
+  EXPECT_LT(elapsed, 30.0);
+}
+
 }  // namespace
 }  // namespace ccdb
